@@ -2,7 +2,8 @@
 
 Subcommands: gen, span, witness, switcher, refute, props, experiment.
 The span subcommand's exit code is the verdict: 0 spanned, 1 not
-spanned, 2 inconclusive.
+spanned, 2 inconclusive.  The witness subcommand exits 0 with a
+witness, 1 when spanning holds, 2 inconclusive.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def _cmd_witness(args) -> int:
         verdict = type(verdict)(verdict.kind, verdict.rank_reached,
                                 verdict.dim_cycle_space, wit, verdict.certificate)
     _emit(args, witness_certificate(g, verdict))
+    if verdict.kind is VerdictKind.INCONCLUSIVE:
+        return 2
     return 0 if verdict.witness is not None else 1
 
 
@@ -188,18 +191,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_input(sp)
     sp.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     sp.add_argument("--budget", type=int, default=10**8,
-                    help="node-expansion budget for exact mode")
+                    help="search-step budget for exact mode")
     sp.add_argument("--samples", type=int, default=200,
                     help="sample budget for sampled mode")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_span)
 
-    sp = sub.add_parser("witness", help="extract and normalize a witness")
+    sp = sub.add_parser("witness", help="extract and normalize a witness "
+                        "(exit 0 witness / 1 spanned / 2 inconclusive)")
     _add_graph_input(sp)
     sp.add_argument("--normalize", choices=["hillclimb", "exact", "none"],
                     default="hillclimb")
-    sp.add_argument("--budget", type=int, default=10**8)
+    sp.add_argument("--budget", type=int, default=10**8,
+                    help="search-step budget of the exact decider")
     sp.add_argument("--out")
     sp.set_defaults(func=_cmd_witness)
 

@@ -45,12 +45,22 @@ def verify_hamilton_path(g: Graph, path: Sequence[int], x: int, y: int) -> None:
             raise RuntimeError(f"missing edge ({u}, {v})")
 
 
+class StepCounter:
+    """Running total of search steps (extensions plus rotations) over calls."""
+
+    __slots__ = ("steps",)
+
+    def __init__(self) -> None:
+        self.steps = 0
+
+
 def rotation_extension_path(
     g: Graph,
     x: int,
     y: int,
     budget: int = 1_000_000,
     seed: int = 0,
+    counter: StepCounter | None = None,
 ) -> list[int] | None:
     """Hamilton path from x to y by randomized rotation-extension.
 
@@ -58,7 +68,8 @@ def rotation_extension_path(
     unvisited vertices (y is withheld until everything else is covered)
     and rotates at random chords when stuck.  If closing onto y stalls,
     the search re-anchors from y and works toward x, alternating in
-    slices of budget/10.  The budget counts extensions plus rotations.
+    slices of budget/10.  The budget counts extensions plus rotations;
+    the steps spent are added to `counter` when one is given.
     Output is verified before return; None only means budget exhausted.
     """
     n = g.n
@@ -72,17 +83,21 @@ def rotation_extension_path(
     slice_budget = max(1_000, budget // 10)
     spent = 0
     anchor, target = x, y
-    while spent < budget:
+    path = None
+    while path is None and spent < budget:
         here = min(slice_budget, budget - spent)
         path, used = _posa_grow(g, anchor, target, here, rng)
         spent += used
-        if path is not None:
-            if anchor != x:
-                path.reverse()
-            verify_hamilton_path(g, path, x, y)
-            return path
-        anchor, target = target, anchor
-    return None
+        if path is None:
+            anchor, target = target, anchor
+    if counter is not None:
+        counter.steps += spent
+    if path is None:
+        return None
+    if anchor != x:
+        path.reverse()
+    verify_hamilton_path(g, path, x, y)
+    return path
 
 
 def _posa_grow(g: Graph, a: int, t: int, budget: int, rng: random.Random):

@@ -2,10 +2,14 @@
 
 The central question: do the incidence vectors of a graph's Hamilton
 cycles span its whole cycle space?  `decide_spanning_exact` answers it
-by complete enumeration (meant for n up to ~16); `confirm_spanning_sampled`
-is the one-sided large-n surrogate driven by rotation-extension sampling.
-When spanning fails, `extract_witness` produces a dual certificate: an
-edge set meeting every Hamilton cycle evenly but some cycle oddly.
+without listing the cycles: a proven upper bound on the Hamilton rank
+(parity obstruction plus witnesses proven so far), sampled Hamilton
+cycles for the lower bound, and a parity subset DP that closes any gap
+between the two.  `confirm_spanning_sampled` is the one-sided large-n
+surrogate that runs the same sampler alone.  When spanning fails,
+`extract_witness` produces a dual certificate: an edge set meeting every
+Hamilton cycle evenly but some cycle oddly.  `enumerate_hamilton_cycles`
+lists every Hamilton cycle; tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -16,20 +20,23 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from . import hamfinder
 from .gf2 import (
     EdgeVector,
     Gf2Basis,
+    cut_space_stars,
     cycle_space_basis,
     intersection_parity,
     orthocomplement_basis,
 )
-from .graph import Graph, iter_bits, to_graph6
+from .graph import Graph, is_bipartite, iter_bits, to_graph6
 from .seeds import derive_seed
 
 
 class BudgetExceeded(RuntimeError):
-    """Raised when an exact search exceeds its node-expansion budget."""
+    """Raised when Hamilton cycle enumeration exceeds its node-expansion budget."""
 
 
 class VerdictKind(str, enum.Enum):
@@ -202,37 +209,195 @@ def _completable(adj: list[int], full: int, visited: int, tip: int) -> bool:
     return seen == sub
 
 
-def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
-    """Exact spanning decision by complete Hamilton cycle enumeration.
+# The exact decider samples with a fixed seed, so its verdicts repeat.
+# Sampling has stalled once the steps since its last rank gain reach a
+# DP's state count or this many per vertex, whichever is less: a few
+# dozen attempts on threshold graphs.
+_EXACT_SEED = 0
+_STALL_STEPS_PER_VERTEX = 64
 
-    Intended for n up to ~16.  Early-exits SpannedExact as soon as the
-    incremental rank reaches the cycle-space dimension; a completed
-    enumeration below full rank yields NotSpanned with an extracted,
-    verified witness.  A blown budget returns Inconclusive, never a
-    wrong verdict.
+
+class _CycleSampler:
+    """Seeded rotation-extension Hamilton cycles, eliminated into a basis.
+
+    Attempt i derives s = derive_seed(seed, "sample", i), asks for a
+    Hamilton path between the ends of edge s mod m, and closes it.  Cycles
+    that raise the rank become the certificate; `counter` totals the
+    search steps spent.
+    """
+
+    def __init__(self, g: Graph, seed: int):
+        self.g = g
+        self.seed = seed
+        self.basis = Gf2Basis(g.m)
+        self.certificate: list[HamiltonCycle] = []
+        self.attempts = 0
+        self.successes = 0
+        self.counter = hamfinder.StepCounter()
+
+    @property
+    def rank(self) -> int:
+        return self.basis.rank
+
+    def draw(self, rotation_budget: int) -> bool:
+        """One attempt; True iff it found a cycle that raised the rank."""
+        g = self.g
+        sub = derive_seed(self.seed, "sample", self.attempts)
+        self.attempts += 1
+        x, y = g.edges[sub % g.m]
+        path = hamfinder.rotation_extension_path(
+            g, x, y, budget=rotation_budget, seed=derive_seed(sub, "rot"),
+            counter=self.counter)
+        if path is None:
+            return False
+        self.successes += 1
+        return self.add(HamiltonCycle.from_order(g, path))
+
+    def add(self, hc: HamiltonCycle) -> bool:
+        if not self.basis.insert(hc.vector).extended:
+            return False
+        self.certificate.append(hc)
+        return True
+
+    def verdict(self, kind: VerdictKind, dim: int,
+                witness: WitnessR | None = None) -> SpanVerdict:
+        return SpanVerdict(kind, self.rank, dim, witness=witness,
+                           certificate=tuple(self.certificate))
+
+
+def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
+    """Exact spanning decision from a proven bound, samples and a parity DP.
+
+    (a) Upper bound.  A witness proven so far is a vector pairing evenly
+    with every Hamilton cycle, so the Hamilton rank is at most dim minus
+    the rank of the witnesses modulo cuts.  For even n and non-bipartite
+    G, E(G) is one: every Hamilton cycle has n edges.  A graph with a
+    vertex of degree below 2, or disconnected, has no Hamilton cycle, so
+    its bound is 0.
+    (b) Sampling.  Verified rotation-extension Hamilton cycles are
+    eliminated into a basis until its rank meets the bound, or until the
+    steps spent since the last rank gain reach the smaller of a DP's cost
+    and 64 per vertex.
+    (c) Closing the gap.  While rank < bound, a vector R orthogonal to the
+    basis rows but outside the proven witnesses plus cuts goes to a
+    subset DP over (visited set, endpoint, R-parity) of Hamilton paths
+    from vertex 0.  It rebuilds a Hamilton cycle meeting R oddly, which
+    raises the rank, or proves R a witness, which lowers the bound.
+
+    Rank equal to the bound is exact: SpannedExact when it is dim,
+    otherwise NotSpanned with a witness taken from the orthocomplement of
+    the certificate and re-verified against it.  `budget` counts search
+    steps: each extension or rotation is one, each DP state is one, and a
+    DP has 2^(n-1) * n * 2 states.  When the next DP does not fit in what
+    is left, the verdict is Inconclusive, never a wrong one.
     """
     dim = cycle_space_dim(g)
     if dim == 0:
         return SpanVerdict(VerdictKind.TRIVIALLY_SPANNED, 0, 0)
-    basis = Gf2Basis(g.m)
-    certificate: list[HamiltonCycle] = []
-    hamiltons: list[HamiltonCycle] = []
-    try:
-        for hc in enumerate_hamilton_cycles(g, budget=budget):
-            hamiltons.append(hc)
-            if basis.insert(hc.vector).extended:
-                certificate.append(hc)
-                if basis.rank == dim:
-                    return SpanVerdict(VerdictKind.SPANNED_EXACT, dim, dim,
-                                       certificate=tuple(certificate))
-    except BudgetExceeded:
-        return SpanVerdict(VerdictKind.INCONCLUSIVE, basis.rank, dim,
-                           certificate=tuple(certificate))
-    witness = extract_witness(g, hamiltons)
+    n, m = g.n, g.m
+    proven = Gf2Basis(m)  # cuts plus the witnesses proven so far
+    for star in cut_space_stars(g):
+        proven.insert(star)
+    bound = dim
+    if n % 2 == 0 and not is_bipartite(g):
+        proven.insert(EdgeVector.full(m))
+        bound -= 1
+    if g.min_degree() < 2 or g.num_components() > 1:
+        bound = 0
+    sampler = _CycleSampler(g, _EXACT_SEED)
+    dp_states = (1 << (n - 1)) * n * 2
+    patience = min(dp_states, _STALL_STEPS_PER_VERTEX * n)
+    idle = 0
+    while sampler.rank < bound and idle < patience and sampler.counter.steps < budget:
+        before = sampler.counter.steps
+        if sampler.draw(min(patience - idle, budget - before)):
+            idle = 0
+        else:
+            idle += sampler.counter.steps - before
+    spent = sampler.counter.steps
+    while sampler.rank < bound:
+        if dp_states > budget - spent:
+            return sampler.verdict(VerdictKind.INCONCLUSIVE, dim)
+        spent += dp_states
+        r = next(v for v in orthocomplement_basis(sampler.basis.rows(), m)
+                 if not proven.in_span(v))
+        hamiltonian, order = _odd_hamilton_cycle(g, r.bits)
+        if order is not None:
+            hc = HamiltonCycle.from_order(g, order)
+            if intersection_parity(hc.vector, r) != 1 or not sampler.add(hc):
+                raise RuntimeError("parity DP cycle does not meet R oddly")
+        elif not hamiltonian:
+            if sampler.rank:
+                raise RuntimeError("parity DP found no Hamilton cycle after sampling one")
+            bound = 0
+        else:
+            proven.insert(r)
+            bound -= 1
+    if bound == dim:
+        return sampler.verdict(VerdictKind.SPANNED_EXACT, dim)
+    witness = extract_witness(g, sampler.certificate)
     if witness is None:
         raise RuntimeError("rank below dimension but no witness found")
-    return SpanVerdict(VerdictKind.NOT_SPANNED, basis.rank, dim,
-                       witness=witness, certificate=tuple(certificate))
+    return sampler.verdict(VerdictKind.NOT_SPANNED, dim, witness)
+
+
+def _odd_hamilton_cycle(g: Graph, r_bits: int) -> tuple[bool, list[int] | None]:
+    """Whether g is Hamiltonian, and a Hamilton cycle meeting R oddly.
+
+    Subset DP over Hamilton paths from vertex 0.  Table index s is the
+    visited set minus vertex 0, as a mask over vertices 1..n-1 (bit v-1
+    for vertex v); tables[p][s] is the mask of endpoints v reachable by a
+    path from 0 through exactly {0} + s with R-parity p.  Sets are filled
+    in order of size, one vectorized step per (size, last vertex).  The
+    tables take 2 * itemsize bytes per set, under one byte per state.
+    The cycle comes back as a vertex order starting at 0, or None when
+    every Hamilton cycle meets R evenly.
+    """
+    n = g.n
+    odd_nbrs = [0] * n   # neighbors joined by an edge of R
+    even_nbrs = [0] * n  # neighbors joined by an edge outside R
+    for eid, (u, v) in enumerate(g.edges):
+        nbrs = odd_nbrs if r_bits >> eid & 1 else even_nbrs
+        nbrs[u] |= 1 << v
+        nbrs[v] |= 1 << u
+    size = 1 << (n - 1)
+    dtype = np.min_scalar_type((1 << n) - 1)
+    tables = (np.zeros(size, dtype), np.zeros(size, dtype))
+    tables[0][0] = 1  # the one-vertex path [0]
+    popcount = np.zeros(size, np.uint8)
+    for b in range(n - 1):
+        popcount[1 << b:2 << b] = popcount[:1 << b] + 1
+    for k in range(1, n):
+        layer = np.flatnonzero(popcount == k)
+        for v in range(1, n):
+            bit = 1 << (v - 1)
+            sets = layer[(layer & bit) != 0]
+            even, odd = tables[0][sets ^ bit], tables[1][sets ^ bit]
+            keep, flip = dtype.type(even_nbrs[v]), dtype.type(odd_nbrs[v])
+            end = dtype.type(1 << v)
+            tables[0][sets[((even & keep) | (odd & flip)) != 0]] |= end
+            tables[1][sets[((odd & keep) | (even & flip)) != 0]] |= end
+    full = size - 1
+    ends = (int(tables[0][full]), int(tables[1][full]))
+    # Closing v -> 0 flips the parity when (v, 0) is in R.
+    closing = (ends[0] & odd_nbrs[0]) | (ends[1] & even_nbrs[0])
+    if not closing:
+        return bool((ends[0] | ends[1]) & g.adj_bits(0)), None
+    v = (closing & -closing).bit_length() - 1
+    p = 1 ^ (odd_nbrs[0] >> v & 1)
+    order = [v]
+    s = full
+    while s:
+        s ^= 1 << (v - 1)
+        for u in iter_bits(g.adj_bits(v)):
+            q = p ^ (odd_nbrs[v] >> u & 1)
+            if int(tables[q][s]) >> u & 1:
+                v, p = u, q
+                break
+        else:
+            raise RuntimeError("parity DP tables lost a path")
+        order.append(v)
+    return True, order[::-1]
 
 
 def confirm_spanning_sampled(
@@ -255,54 +420,33 @@ def confirm_spanning_sampled(
     dim = cycle_space_dim(g)
     if dim == 0:
         return SpanVerdict(VerdictKind.TRIVIALLY_SPANNED, 0, 0)
-    if g.m == 0:
-        return SpanVerdict(VerdictKind.INCONCLUSIVE, 0, dim)
-    basis = Gf2Basis(g.m)
-    certificate: list[HamiltonCycle] = []
-    successes = 0
-    for attempt in range(budget):
-        sub = derive_seed(seed, "sample", attempt)
-        x, y = g.edges[sub % g.m]
-        path = hamfinder.rotation_extension_path(
-            g, x, y, budget=rotation_budget, seed=derive_seed(sub, "rot"))
-        if path is None:
-            if successes == 0 and attempt + 1 >= give_up_after:
-                break
-            continue
-        successes += 1
-        hc = HamiltonCycle.from_order(g, path)
-        if basis.insert(hc.vector).extended:
-            certificate.append(hc)
-            if basis.rank == dim:
-                return SpanVerdict(VerdictKind.SPANNED_CONFIRMED, dim, dim,
-                                   certificate=tuple(certificate))
-    return SpanVerdict(VerdictKind.INCONCLUSIVE, basis.rank, dim,
-                       certificate=tuple(certificate))
+    sampler = _CycleSampler(g, seed)
+    while sampler.attempts < budget and sampler.rank < dim:
+        sampler.draw(rotation_budget)
+        if sampler.successes == 0 and sampler.attempts >= give_up_after:
+            break
+    if sampler.rank == dim:
+        return sampler.verdict(VerdictKind.SPANNED_CONFIRMED, dim)
+    return sampler.verdict(VerdictKind.INCONCLUSIVE, dim)
 
 
 def extract_witness(g: Graph, hamiltons: Sequence[HamiltonCycle]) -> WitnessR | None:
     """Search the orthocomplement of the Hamilton span for a witness.
 
     A witness pairs evenly with every Hamilton vector (it lives in the
-    kernel) and oddly with some cycle.  Candidates are kernel basis
-    vectors in increasing support order, then their pairwise XORs; by
-    linearity the basis stage already decides existence, so a None
-    return means spanning holds.  `hamiltons` must be the complete list.
+    kernel) and oddly with some cycle.  `hamiltons` may be any set of
+    Hamilton cycles that spans the Hamilton span, such as a full-rank
+    certificate; the kernel depends only on that span.  Candidates are
+    the kernel basis vectors in increasing support order.  The kernel is
+    their span, so if none pairs oddly with a fundamental cycle, none of
+    their sums does either: a None return means spanning holds.
     """
     m = g.m
     fundamentals = cycle_space_basis(g)
     if not fundamentals:
         return None
     kernel = orthocomplement_basis([hc.vector for hc in hamiltons], m)
-    candidates = sorted(kernel, key=lambda v: (v.weight, v.bits))
-    pairwise = []
-    for i in range(len(candidates)):
-        for j in range(i + 1, len(candidates)):
-            pairwise.append(candidates[i] ^ candidates[j])
-    pairwise.sort(key=lambda v: (v.weight, v.bits))
-    for vec in candidates + pairwise:
-        if vec.is_zero():
-            continue
+    for vec in sorted(kernel, key=lambda v: (v.weight, v.bits)):
         if any(intersection_parity(vec, z) for z in fundamentals):
             # Kernel membership guarantees even pairing with every
             # Hamilton vector; re-verify rather than trust the algebra.

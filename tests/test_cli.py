@@ -60,6 +60,14 @@ def test_witness_absent_exit_code(capsys):
     assert main(["witness", "--graph6", k5]) == 1
 
 
+def test_witness_inconclusive_exit_code(capsys):
+    k7 = to_graph6(Graph.complete(7))
+    assert main(["witness", "--graph6", k7, "--budget", "10"]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "Inconclusive"
+    assert main(["witness", "--graph6", k7]) == 1
+    assert json.loads(capsys.readouterr().out)["verdict"] == "SpannedExact"
+
+
 def test_switcher_command(capsys):
     k5 = to_graph6(Graph.complete(5))
     code = main(["switcher", "--graph6", k5, "--seed", "3"])

@@ -3,8 +3,9 @@ import random
 
 import pytest
 
+from cyclespan import spanning
 from cyclespan.gf2 import EdgeVector, cycle_space_basis, intersection_parity
-from cyclespan.graph import Graph, is_bipartite
+from cyclespan.graph import Graph, from_edge_list, is_bipartite
 from cyclespan.spanning import (
     BudgetExceeded,
     HamiltonCycle,
@@ -20,7 +21,14 @@ from cyclespan.spanning import (
     witness_certificate,
 )
 
-from util import all_bipartition_cuts, permutation_hamilton_cycles, petersen, random_graph
+from util import (
+    all_bipartition_cuts,
+    batch_gf2_rank,
+    graph_from_mask,
+    permutation_hamilton_cycles,
+    petersen,
+    random_graph,
+)
 
 
 class TestEnumerator:
@@ -119,6 +127,109 @@ class TestDecideExact:
             assert v.rank_reached == batch_gf2_rank(hams, g.m)
 
 
+def _assert_exact(g):
+    """decide_spanning_exact against enumeration and batch elimination."""
+    v = decide_spanning_exact(g)
+    assert v.kind is not VerdictKind.INCONCLUSIVE
+    hams = [hc.vector for hc in enumerate_hamilton_cycles(g)]
+    assert v.rank_reached == batch_gf2_rank([h.bits for h in hams], g.m)
+    if v.kind is VerdictKind.NOT_SPANNED:
+        assert all(intersection_parity(v.witness.vector, h) == 0 for h in hams)
+        assert any(intersection_parity(v.witness.vector, z) for z in cycle_space_basis(g))
+    return v
+
+
+def _pendant_triangle_graph(rng, n, p):
+    """Odd n, vertex n-1 of degree 2 with adjacent neighbors.
+
+    No Hamilton cycle uses the edge between those neighbors, so spanning
+    fails although the parity bound says nothing for odd n: only the
+    parity DP can prove the witness.
+    """
+    base = random_graph(rng, n - 1, p)
+    a, b = rng.sample(range(n - 1), 2)
+    pairs = set(base.edges) | {(min(a, b), max(a, b))}
+    return from_edge_list(n, sorted(pairs) + [(a, n - 1), (b, n - 1)])
+
+
+@pytest.fixture
+def dp_calls(monkeypatch):
+    calls = []
+    real = spanning._odd_hamilton_cycle
+
+    def counted(g, r_bits):
+        calls.append(g.n)
+        return real(g, r_bits)
+
+    monkeypatch.setattr(spanning, "_odd_hamilton_cycle", counted)
+    return calls
+
+
+class TestDecideExactDifferential:
+    def test_every_labelled_graph_up_to_five(self):
+        for n in range(1, 6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                _assert_exact(graph_from_mask(n, mask))
+
+    def test_seeded_graphs_six_to_ten(self):
+        rng = random.Random(610)
+        for _ in range(60):
+            _assert_exact(random_graph(rng, rng.randint(6, 10), rng.uniform(0.3, 0.8)))
+
+    def test_odd_graphs_with_degree_two_vertex_run_the_dp(self, dp_calls):
+        rng = random.Random(611)
+        for n in (7, 9, 9, 11):
+            v = _assert_exact(_pendant_triangle_graph(rng, n, 0.7))
+            assert v.kind is VerdictKind.NOT_SPANNED
+        assert dp_calls
+
+    def test_parity_dp_matches_enumeration(self):
+        rng = random.Random(612)
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(3, 9), rng.uniform(0.3, 0.9))
+            r = rng.getrandbits(g.m) if g.m else 0
+            hams = list(enumerate_hamilton_cycles(g))
+            hamiltonian, order = spanning._odd_hamilton_cycle(g, r)
+            assert hamiltonian == bool(hams)
+            assert (order is not None) == any((hc.vector.bits & r).bit_count() % 2
+                                              for hc in hams)
+            if order is not None:
+                hc = HamiltonCycle.from_order(g, order)
+                assert (hc.vector.bits & r).bit_count() % 2 == 1
+
+    def test_dp_over_budget_is_skipped(self, dp_calls):
+        g = _pendant_triangle_graph(random.Random(613), 9, 0.7)
+        v = decide_spanning_exact(g, budget=2 ** 8 * 9 * 2 - 1)
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert dp_calls == []
+
+    def test_sampled_never_spanned_where_exact_refutes(self):
+        rng = random.Random(614)
+        refuted = 0
+        for _ in range(30):
+            g = random_graph(rng, rng.randint(5, 12), rng.uniform(0.5, 0.9))
+            if decide_spanning_exact(g).kind is not VerdictKind.NOT_SPANNED:
+                continue
+            refuted += 1
+            sampled = confirm_spanning_sampled(
+                g, budget=spanning.cycle_space_dim(g) + 20, seed=rng.getrandbits(32))
+            assert sampled.spanned is not True
+        assert refuted >= 10
+
+    @pytest.mark.parametrize("n, p, kind", [
+        (16, 0.6, VerdictKind.NOT_SPANNED),
+        (15, 0.7, VerdictKind.SPANNED_EXACT),
+    ])
+    def test_roadmap_cases_decided_under_default_budget(self, n, p, kind):
+        g = random_graph(random.Random(0), n, p)
+        v = decide_spanning_exact(g)
+        assert v.kind is kind
+        if kind is VerdictKind.NOT_SPANNED:
+            assert v.rank_reached == v.dim_cycle_space - 1
+            assert all(intersection_parity(v.witness.vector, hc.vector) == 0
+                       for hc in v.certificate)
+
+
 class TestConfirmSampled:
     def test_c5_confirmed_first_sample(self):
         v = confirm_spanning_sampled(Graph.cycle(5), budget=1, seed=0)
@@ -143,6 +254,28 @@ class TestConfirmSampled:
         b = confirm_spanning_sampled(Graph.complete(6), budget=30, seed=5)
         assert a.kind == b.kind
         assert [hc.order for hc in a.certificate] == [hc.order for hc in b.certificate]
+
+
+    # Certificate orders recorded before the sampler was shared with the
+    # exact decider; the RNG stream must not move.
+    @pytest.mark.parametrize("n, p, kind, orders", [
+        (9, 0.6, VerdictKind.SPANNED_CONFIRMED, [
+            [0, 1, 8, 4, 7, 5, 3, 6, 2], [0, 5, 3, 1, 7, 6, 2, 4, 8],
+            [0, 2, 4, 8, 5, 7, 1, 3, 6], [0, 2, 4, 7, 6, 5, 3, 1, 8],
+            [0, 2, 6, 5, 3, 1, 7, 4, 8], [0, 1, 3, 5, 8, 4, 7, 6, 2],
+            [0, 3, 6, 2, 4, 8, 1, 7, 5], [0, 2, 4, 8, 1, 7, 5, 6, 3],
+            [0, 6, 2, 4, 7, 5, 3, 1, 8], [0, 3, 5, 7, 1, 8, 4, 2, 6],
+            [0, 1, 7, 5, 8, 4, 2, 6, 3]]),
+        (11, 0.5, VerdictKind.INCONCLUSIVE, [
+            [0, 1, 8, 4, 10, 5, 9, 3, 7, 2, 6], [0, 1, 8, 4, 10, 6, 2, 7, 3, 9, 5],
+            [0, 1, 8, 4, 10, 7, 2, 6, 3, 9, 5], [0, 1, 8, 4, 10, 3, 6, 2, 7, 9, 5],
+            [0, 1, 8, 4, 10, 3, 9, 5, 7, 2, 6], [0, 1, 8, 4, 10, 3, 9, 7, 2, 6, 5]]),
+    ])
+    def test_golden_certificate(self, n, p, kind, orders):
+        g = random_graph(random.Random(2026), n, p)
+        v = confirm_spanning_sampled(g, budget=spanning.cycle_space_dim(g) + 10, seed=5)
+        assert v.kind is kind
+        assert [list(hc.order) for hc in v.certificate] == orders
 
 
 class TestExtractWitness:
