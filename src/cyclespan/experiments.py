@@ -10,6 +10,7 @@ Monte Carlo campaigns into CSV.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import logging
@@ -18,7 +19,7 @@ import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -809,7 +810,9 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> lis
 
     Per-trial seeds derive from (master seed, cell index, trial index),
     so the records are identical for any worker count; only the timing
-    columns vary between runs.
+    columns vary between runs.  Records arrive in task order and each CSV
+    row is written as its record arrives, so when a trial raises, the
+    rows of the trials before it are on disk before the error propagates.
     """
     tasks = []
     for ci, cell in enumerate(config.cells):
@@ -824,22 +827,34 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> lis
                           config.span_extra, config.rotation_budget,
                           config.with_properties, config.with_refutation,
                           config.allow_even_n))
-    if config.workers > 1:
-        with multiprocessing.Pool(config.workers) as pool:
-            records = pool.map(_run_trial, tasks, chunksize=1)
-    else:
-        records = [_run_trial(t) for t in tasks]
-    if out_path is not None:
-        write_trials_csv(out_path, records)
+    records = []
+    with contextlib.ExitStack() as stack:
+        if config.workers > 1:
+            pool = stack.enter_context(multiprocessing.Pool(config.workers))
+            results = pool.imap(_run_trial, tasks, chunksize=1)
+        else:
+            results = map(_run_trial, tasks)
+        if out_path is None:
+            records.extend(results)
+        else:
+            write_trials_csv(out_path, _kept(results, records))
     return records
 
 
+def _kept(records: Iterable[TrialRecord], into: list[TrialRecord]) -> Iterator[TrialRecord]:
+    for rec in records:
+        into.append(rec)
+        yield rec
+
+
 def write_trials_csv(path: str, records: Iterable[TrialRecord]) -> None:
+    """Write the CSV, flushing each row as its record arrives."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_COLUMNS)
         for rec in records:
             writer.writerow(rec.to_row())
+            fh.flush()
 
 
 def read_trials_csv(path: str) -> list[TrialRecord]:

@@ -4,6 +4,8 @@ The workhorse is `rotation_extension_path`: grow a path from an anchor,
 and when stuck, reverse a suffix at a chord (a rotation) to expose a new
 endpoint.  On graphs with decent expansion this finds Hamilton paths
 between prescribed endpoints fast; it never certifies nonexistence.
+`rotate_cycle` turns one Hamilton cycle into another with the same
+rotations.
 
 Around it: degree-preserving random vertex splits, short paths inside a
 witness subgraph, Hamilton paths that first shelter low-degree vertices
@@ -29,7 +31,12 @@ def _random_set_bit(rng: random.Random, mask: int) -> int:
     k = mask.bit_count()
     if k == 1:
         return mask.bit_length() - 1
-    for _ in range(rng.randrange(k)):
+    return _nth_set_bit(mask, rng.randrange(k))
+
+
+def _nth_set_bit(mask: int, i: int) -> int:
+    """Position of the i-th lowest set bit of mask, counting from 0."""
+    for _ in range(i):
         mask &= mask - 1
     return (mask & -mask).bit_length() - 1
 
@@ -102,69 +109,97 @@ def rotation_extension_path(
 
 def _posa_grow(g: Graph, a: int, t: int, budget: int, rng: random.Random):
     """Grow a..tip over V-{t}; succeed once all covered and tip sees t."""
-    n = g.n
     adj = g._adj_bits
-    full = (1 << n) - 1
     t_bit = 1 << t
-    goal = full & ~t_bit
-    pos = [0] * n
+    goal = ((1 << g.n) - 1) & ~t_bit
     path = [a]
     on = 1 << a
     steps = 0
     while steps < budget:
         tip = path[-1]
+        steps += 1
         if on == goal:
             if adj[tip] & t_bit:
-                return path + [t], steps
-            pivots = _pivots(adj, path, pos, tip)
-            if not pivots:
-                steps += 1
-                path, on = [a], 1 << a
-                pos[a] = 0
-                continue
+                return path + [t], steps - 1
             # Prefer rotations whose new tip closes onto t.
-            closing = [p for p in pivots if adj[path[p + 1]] & t_bit]
-            p = rng.choice(closing) if closing else rng.choice(pivots)
-            _reverse_suffix(path, pos, p)
-            steps += 1
+            if not _rotate(adj, path, on, rng, t_bit):
+                path, on = [a], 1 << a
             continue
         ext = adj[tip] & ~on & ~t_bit
         if ext:
             w = _random_set_bit(rng, ext)
-            pos[w] = len(path)
             path.append(w)
             on |= 1 << w
-            steps += 1
-            continue
-        pivots = _pivots(adj, path, pos, tip)
-        if not pivots:
-            steps += 1
+        elif not _rotate(adj, path, on, rng):
             if len(path) == 1:
                 return None, steps
             path, on = [a], 1 << a
-            pos[a] = 0
-            continue
-        _reverse_suffix(path, pos, rng.choice(pivots))
-        steps += 1
     return None, steps
 
 
-def _pivots(adj: list[int], path: list[int], pos: list[int], tip: int) -> list[int]:
-    # Chord tip-path[i] rotates to new tip path[i+1]; i = len-2 is a no-op.
-    last = len(path) - 2
-    out = []
-    on_path = adj[tip]
-    for v in iter_bits(on_path):
-        i = pos[v]
-        if i < last and path[i] == v:
-            out.append(i)
-    return out
+def _rotate(adj: list[int], path: list[int], on: int, rng: random.Random,
+            prefer: int = 0) -> bool:
+    """One Posa rotation at the tip path[-1]; False when there is no pivot.
 
-
-def _reverse_suffix(path: list[int], pos: list[int], i: int) -> None:
+    A pivot is a neighbour v of the tip on the path other than its
+    predecessor; reversing the segment after v makes v's successor the
+    new tip.  The pivot is drawn uniformly in ascending vertex order,
+    from those whose new tip meets the mask `prefer` if there are any.
+    """
+    if len(path) < 3:
+        return False
+    pivots = adj[path[-1]] & on & ~(1 << path[-2])
+    if not pivots:
+        return False
+    if prefer:
+        cuts = [i for i in map(path.index, iter_bits(pivots)) if adj[path[i + 1]] & prefer]
+        if cuts:
+            i = cuts[rng.randrange(len(cuts))]
+            path[i + 1:] = path[:i:-1]
+            return True
+    i = path.index(_nth_set_bit(pivots, rng.randrange(pivots.bit_count())))
     path[i + 1:] = path[:i:-1]
-    for j in range(i + 1, len(path)):
-        pos[path[j]] = j
+    return True
+
+
+def rotate_cycle(
+    g: Graph,
+    order: Sequence[int],
+    cut: int,
+    min_rotations: int,
+    budget: int,
+    seed: int,
+    counter: StepCounter | None = None,
+) -> list[int] | None:
+    """A new Hamilton cycle from a Hamilton cycle by Posa rotations.
+
+    The cycle `order` is cut before position `cut` into a Hamilton path
+    whose first vertex stays fixed.  The other end rotates at uniform
+    pivots, and once `min_rotations` rotations are done the path closes
+    as soon as its tip sees the fixed end.  (Preferring pivots whose new
+    tip sees the fixed end closes sooner but biases the cycles: some
+    threshold graphs then stall one short of full rank.)  Returns the
+    closed vertex order, unverified (the caller builds and checks the
+    cycle), or None when `budget` rotations pass without a close.
+    Rotations are added to `counter` when one is given.
+    """
+    adj = g._adj_bits
+    path = list(order[cut:]) + list(order[:cut])
+    on = (1 << g.n) - 1
+    anchor_bit = 1 << path[0]
+    rng = random.Random(seed)
+    steps = 0
+    closed = False
+    while steps < budget:
+        if steps >= min_rotations and adj[path[-1]] & anchor_bit:
+            closed = True
+            break
+        if not _rotate(adj, path, on, rng):
+            break
+        steps += 1
+    if counter is not None:
+        counter.steps += steps
+    return path if closed else None
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ without listing the cycles: a proven upper bound on the Hamilton rank
 (parity obstruction plus witnesses proven so far), sampled Hamilton
 cycles for the lower bound, and a parity subset DP that closes any gap
 between the two.  `confirm_spanning_sampled` is the one-sided large-n
-surrogate that runs the same sampler alone.  When spanning fails,
-`extract_witness` produces a dual certificate: an edge set meeting every
-Hamilton cycle evenly but some cycle oddly.  `enumerate_hamilton_cycles`
-lists every Hamilton cycle; tests use it as the reference.
+surrogate: the same sampler, chaining each Hamilton cycle into the next
+by Posa rotations.  When spanning fails, `extract_witness` produces a
+dual certificate: an edge set meeting every Hamilton cycle evenly but
+some cycle oddly.  `enumerate_hamilton_cycles` lists every Hamilton
+cycle; tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -68,9 +69,7 @@ class HamiltonCycle:
         seq = seq[i0:] + seq[:i0]
         if n > 2 and seq[1] > seq[-1]:
             seq = [seq[0]] + seq[:0:-1]
-        for u, v in zip(seq, seq[1:] + [seq[0]]):
-            if not g.has_edge(u, v):
-                raise ValueError(f"({u}, {v}) is not an edge")
+        # Raises ValueError on a non-edge.
         vec = EdgeVector.from_vertex_path(g, seq, closed=True)
         return cls(tuple(seq), vec)
 
@@ -215,15 +214,33 @@ def _completable(adj: list[int], full: int, visited: int, tip: int) -> bool:
 # dozen attempts on threshold graphs.
 _EXACT_SEED = 0
 _STALL_STEPS_PER_VERTEX = 64
+# Rotations a chain step makes before it may close.  Fewer leave the new
+# cycle too close to the last one: with 3, threshold graphs needed
+# hundreds of cycles beyond dim.
+_CHAIN_MIN_ROTATIONS = 10
+# Attempts in a row without a rank gain before a fresh draw through an
+# edge that no cycle found so far uses, each such edge tried once.
+# Cycles along a chain share most of their edges, so an edge that few
+# Hamilton cycles use can stay out of every chain cycle until the budget
+# runs out; a cycle through it lies outside the span of cycles that all
+# avoid it.
+_CHAIN_PATIENCE = 5
+
+
+def _cannot_be_hamiltonian(g: Graph) -> bool:
+    """A vertex of degree below 2, or a disconnected graph, rules out Hamilton cycles."""
+    return g.min_degree() < 2 or g.num_components() > 1
 
 
 class _CycleSampler:
-    """Seeded rotation-extension Hamilton cycles, eliminated into a basis.
+    """Seeded Hamilton cycles, eliminated into a basis.
 
-    Attempt i derives s = derive_seed(seed, "sample", i), asks for a
-    Hamilton path between the ends of edge s mod m, and closes it.  Cycles
-    that raise the rank become the certificate; `counter` totals the
-    search steps spent.
+    Attempt i derives s = derive_seed(seed, "sample", i).  A fresh draw
+    asks rotation-extension for a Hamilton path between the ends of edge
+    s mod m and closes it.  A chain step instead cuts the last cycle
+    found at position s mod n and rotates it into a new one.  Cycles that
+    raise the rank become the certificate; `counter` totals the search
+    steps spent.
     """
 
     def __init__(self, g: Graph, seed: int):
@@ -234,24 +251,55 @@ class _CycleSampler:
         self.attempts = 0
         self.successes = 0
         self.counter = hamfinder.StepCounter()
+        self.last: tuple[int, ...] | None = None  # last cycle found
+        self.covered = 0  # edges of the cycles found or drawn through
 
     @property
     def rank(self) -> int:
         return self.basis.rank
 
-    def draw(self, rotation_budget: int) -> bool:
-        """One attempt; True iff it found a cycle that raised the rank."""
+    def draw(self, rotation_budget: int, edge: int | None = None) -> bool:
+        """One attempt; True iff it found a cycle that raised the rank.
+
+        The path closes through `edge` when given, which then counts as
+        covered, else through a random edge."""
         g = self.g
         sub = derive_seed(self.seed, "sample", self.attempts)
         self.attempts += 1
-        x, y = g.edges[sub % g.m]
+        if edge is None:
+            edge = sub % g.m
+        else:
+            self.covered |= 1 << edge
+        x, y = g.edges[edge]
         path = hamfinder.rotation_extension_path(
             g, x, y, budget=rotation_budget, seed=derive_seed(sub, "rot"),
             counter=self.counter)
-        if path is None:
+        return self._found(path)
+
+    def chain(self, rotation_budget: int) -> bool:
+        """One attempt from the last cycle; on failure the chain is dropped."""
+        g = self.g
+        sub = derive_seed(self.seed, "sample", self.attempts)
+        self.attempts += 1
+        order = hamfinder.rotate_cycle(
+            g, self.last, sub % g.n, _CHAIN_MIN_ROTATIONS, rotation_budget,
+            seed=derive_seed(sub, "chain"), counter=self.counter)
+        return self._found(order)
+
+    def uncovered_edge(self) -> int | None:
+        """The lowest edge that is not covered, if any."""
+        free = ~self.covered & ((1 << self.g.m) - 1)
+        return (free & -free).bit_length() - 1 if free else None
+
+    def _found(self, order: list[int] | None) -> bool:
+        if order is None:
+            self.last = None
             return False
         self.successes += 1
-        return self.add(HamiltonCycle.from_order(g, path))
+        hc = HamiltonCycle.from_order(self.g, order)
+        self.last = hc.order
+        self.covered |= hc.vector.bits
+        return self.add(hc)
 
     def add(self, hc: HamiltonCycle) -> bool:
         if not self.basis.insert(hc.vector).extended:
@@ -302,7 +350,7 @@ def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
     if n % 2 == 0 and not is_bipartite(g):
         proven.insert(EdgeVector.full(m))
         bound -= 1
-    if g.min_degree() < 2 or g.num_components() > 1:
+    if _cannot_be_hamiltonian(g):
         bound = 0
     sampler = _CycleSampler(g, _EXACT_SEED)
     dp_states = (1 << (n - 1)) * n * 2
@@ -409,20 +457,41 @@ def confirm_spanning_sampled(
 ) -> SpanVerdict:
     """One-sided spanning confirmation by sampled Hamilton cycles.
 
-    Each attempt picks a seed-derived random edge (x, y), searches for a
-    Hamilton path from x to y by rotation-extension, and closes it into
-    a cycle.  SpannedConfirmed as soon as the sampled vectors reach full
-    cycle-space rank; Inconclusive when the attempt budget runs out or
-    when the first `give_up_after` attempts all fail to produce any
-    cycle (a strong sign the graph is not Hamiltonian).  Never returns
-    NotSpanned.
+    The first attempt picks a seed-derived random edge (x, y), searches
+    for a Hamilton path from x to y by rotation-extension, and closes it
+    into a cycle.  Each later attempt is a chain step: it cuts the last
+    cycle at a seed-derived position, makes at least
+    `_CHAIN_MIN_ROTATIONS` Posa rotations with one end fixed, and closes
+    the path once its tip sees that end.  A chain step that uses up
+    `rotation_budget` rotations drops the chain, and the next attempt is
+    a fresh draw again.  After `_CHAIN_PATIENCE` attempts in a row
+    without a rank gain, the attempt is instead a fresh draw closing
+    through the lowest edge that no cycle found so far uses, if any; each
+    edge gets one such draw.  Every cycle is verified before it is
+    inserted.  One attempt is one try at one cycle.
+
+    SpannedConfirmed as soon as the sampled vectors reach full
+    cycle-space rank; Inconclusive when the attempt budget runs out, when
+    the first `give_up_after` attempts all fail to produce any cycle (a
+    strong sign the graph is not Hamiltonian), or at once, with no
+    attempt, when a vertex has degree below 2 or g is disconnected.
+    Never returns NotSpanned.
     """
     dim = cycle_space_dim(g)
     if dim == 0:
         return SpanVerdict(VerdictKind.TRIVIALLY_SPANNED, 0, 0)
+    if _cannot_be_hamiltonian(g):
+        return SpanVerdict(VerdictKind.INCONCLUSIVE, 0, dim)
     sampler = _CycleSampler(g, seed)
+    stale = 0  # attempts since the last rank gain
     while sampler.attempts < budget and sampler.rank < dim:
-        sampler.draw(rotation_budget)
+        if sampler.last is None:
+            gained = sampler.draw(rotation_budget)
+        elif stale >= _CHAIN_PATIENCE and (edge := sampler.uncovered_edge()) is not None:
+            gained = sampler.draw(rotation_budget, edge)
+        else:
+            gained = sampler.chain(rotation_budget)
+        stale = 0 if gained else stale + 1
         if sampler.successes == 0 and sampler.attempts >= give_up_after:
             break
     if sampler.rank == dim:

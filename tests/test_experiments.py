@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from cyclespan import experiments
 from cyclespan.experiments import (
     CellSpec,
     ExperimentConfig,
@@ -21,6 +22,14 @@ from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.spanning import WitnessR, is_bipartition_form
 
 from util import petersen
+
+_real_run_trial = experiments._run_trial
+
+
+def _trial_failing_on_task_3(args):
+    if args[:2] == (0, 3):
+        raise RuntimeError("trial 3 failed")
+    return _real_run_trial(args)
 
 
 class TestThresholdP:
@@ -287,6 +296,19 @@ class TestRunExperiment:
         records = run_experiment(config)
         for rec in records:
             assert rec.refutation_ok is not None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_trial_keeps_finished_rows(self, tmp_path, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "_run_trial", _trial_failing_on_task_3)
+        out = tmp_path / "trials.csv"
+        with pytest.raises(RuntimeError, match="trial 3 failed"):
+            run_experiment(self._config(workers), out_path=str(out))
+        rows = read_trials_csv(str(out))
+        want = [_real_run_trial(args) for args in [
+            (0, t, 11, threshold_p(11, 2.0), 99, 10, 5_000, False, False, False)
+            for t in range(3)]]
+        assert [(r.seed, r.verdict, r.rank) for r in rows] == \
+            [(r.seed, r.verdict, r.rank) for r in want]
 
     def test_csv_header_guard(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -7,9 +7,11 @@ from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.hamfinder import (
     ExpanderParams,
     SplitRequest,
+    StepCounter,
     expander_check,
     hamilton_path_protected,
     lll_split,
+    rotate_cycle,
     rotation_extension_path,
     short_path_in_r,
 )
@@ -57,6 +59,40 @@ class TestRotationExtension:
     def test_two_vertex_graph(self):
         g = from_edge_list(2, [(0, 1)])
         assert rotation_extension_path(g, 0, 1) == [0, 1]
+
+
+class TestRotateCycle:
+    def _is_hamilton_cycle(self, g, order):
+        return (sorted(order) == list(range(g.n))
+                and all(g.has_edge(u, v) for u, v in zip(order, order[1:] + order[:1])))
+
+    def test_closes_into_hamilton_cycle(self):
+        rng = random.Random(3)
+        for _ in range(20):
+            n = rng.randint(5, 20)
+            g = random_graph(rng, n, 0.6)
+            path = rotation_extension_path(g, *g.edges[0], budget=20_000, seed=1)
+            if path is None:
+                continue
+            counter = StepCounter()
+            cut = rng.randrange(n)
+            order = rotate_cycle(g, path, cut, 10, 10_000, seed=rng.randrange(1 << 30),
+                                 counter=counter)
+            assert order is not None and self._is_hamilton_cycle(g, order)
+            assert order[0] == path[cut]
+            assert counter.steps >= 10
+
+    def test_none_when_budget_below_min_rotations(self):
+        counter = StepCounter()
+        assert rotate_cycle(Graph.complete(7), list(range(7)), 0, 10, 9, seed=1,
+                            counter=counter) is None
+        assert counter.steps == 9
+
+    def test_deterministic_given_seed(self):
+        g = Graph.complete(9)
+        a = rotate_cycle(g, list(range(9)), 4, 10, 1_000, seed=5)
+        b = rotate_cycle(g, list(range(9)), 4, 10, 1_000, seed=5)
+        assert a == b
 
 
 class TestLllSplit:

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from cyclespan import spanning
+from cyclespan import hamfinder, spanning
+from cyclespan.experiments import ModelParams, sample_gnp
 from cyclespan.gf2 import EdgeVector, cycle_space_basis, intersection_parity
 from cyclespan.graph import Graph, from_edge_list, is_bipartite
 from cyclespan.spanning import (
@@ -81,6 +82,10 @@ class TestHamiltonCycleType:
         g = Graph.path(4)
         with pytest.raises(ValueError):
             HamiltonCycle.from_order(g, [0, 1, 2, 3])
+
+    def test_rejects_inner_non_edge(self):
+        with pytest.raises(ValueError):
+            HamiltonCycle.from_order(Graph.cycle(5), [0, 1, 3, 2, 4])
 
 
 class TestDecideExact:
@@ -256,8 +261,9 @@ class TestConfirmSampled:
         assert [hc.order for hc in a.certificate] == [hc.order for hc in b.certificate]
 
 
-    # Certificate orders recorded before the sampler was shared with the
-    # exact decider; the RNG stream must not move.
+    # Certificate orders of the fresh-draw stream, recorded when it was
+    # still the sampled confirmer's only sampler.  The exact decider draws
+    # from it, so it must not move.
     @pytest.mark.parametrize("n, p, kind, orders", [
         (9, 0.6, VerdictKind.SPANNED_CONFIRMED, [
             [0, 1, 8, 4, 7, 5, 3, 6, 2], [0, 5, 3, 1, 7, 6, 2, 4, 8],
@@ -273,9 +279,139 @@ class TestConfirmSampled:
     ])
     def test_golden_certificate(self, n, p, kind, orders):
         g = random_graph(random.Random(2026), n, p)
+        dim = spanning.cycle_space_dim(g)
+        sampler = spanning._CycleSampler(g, 5)
+        while sampler.attempts < dim + 10 and sampler.rank < dim:
+            sampler.draw(30_000)
+        v = sampler.verdict(VerdictKind.SPANNED_CONFIRMED if sampler.rank == dim
+                            else VerdictKind.INCONCLUSIVE, dim)
+        assert v.kind is kind
+        assert [list(hc.order) for hc in v.certificate] == orders
+
+    # Certificate orders of the chain sampler on the same graphs.
+    @pytest.mark.parametrize("n, p, kind, orders", [
+        (9, 0.6, VerdictKind.SPANNED_CONFIRMED, [
+            [0, 1, 8, 4, 7, 5, 3, 6, 2], [0, 2, 6, 5, 8, 4, 7, 1, 3],
+            [0, 3, 1, 8, 5, 7, 4, 2, 6], [0, 2, 4, 7, 6, 5, 3, 1, 8],
+            [0, 1, 8, 5, 7, 4, 2, 6, 3], [0, 1, 3, 6, 2, 4, 7, 5, 8],
+            [0, 1, 7, 5, 3, 6, 2, 4, 8], [0, 1, 7, 5, 8, 4, 2, 6, 3],
+            [0, 2, 6, 7, 4, 8, 1, 3, 5], [0, 2, 4, 7, 6, 3, 1, 8, 5],
+            [0, 5, 7, 4, 2, 6, 3, 1, 8]]),
+        (11, 0.5, VerdictKind.INCONCLUSIVE, [
+            [0, 1, 8, 4, 10, 5, 9, 3, 7, 2, 6], [0, 1, 8, 4, 10, 3, 9, 5, 7, 2, 6],
+            [0, 1, 8, 4, 10, 3, 6, 2, 7, 9, 5], [0, 1, 8, 4, 10, 3, 9, 7, 2, 6, 5],
+            [0, 1, 8, 4, 10, 7, 2, 6, 3, 9, 5], [0, 1, 8, 4, 10, 6, 2, 7, 3, 9, 5]]),
+    ])
+    def test_golden_chain_certificate(self, n, p, kind, orders):
+        g = random_graph(random.Random(2026), n, p)
         v = confirm_spanning_sampled(g, budget=spanning.cycle_space_dim(g) + 10, seed=5)
         assert v.kind is kind
         assert [list(hc.order) for hc in v.certificate] == orders
+
+    def test_chain_certificate_cycles_are_hamiltonian(self):
+        g = sample_gnp(ModelParams(n=101, f=3.0, seed=11))
+        v = confirm_spanning_sampled(g, budget=spanning.cycle_space_dim(g) + 50, seed=3)
+        assert v.kind is VerdictKind.SPANNED_CONFIRMED
+        edges = set(g.edges)
+        for hc in v.certificate:
+            assert sorted(hc.order) == list(range(g.n))
+            for u, w in zip(hc.order, hc.order[1:] + hc.order[:1]):
+                assert (min(u, w), max(u, w)) in edges
+            assert hc.vector.bits == sum(1 << g.edge_id(u, w) for u, w in
+                                         zip(hc.order, hc.order[1:] + hc.order[:1]))
+
+    def test_chain_deterministic_per_seed(self):
+        g = sample_gnp(ModelParams(n=51, f=3.0, seed=4))
+        budget = spanning.cycle_space_dim(g) + 50
+        runs = [confirm_spanning_sampled(g, budget=budget, seed=s) for s in (8, 8, 9)]
+        orders = [[hc.order for hc in v.certificate] for v in runs]
+        assert runs[0].kind is VerdictKind.SPANNED_CONFIRMED
+        assert orders[0] == orders[1]
+        assert orders[0] != orders[2]
+
+    def test_chain_out_of_rotations_falls_back_to_draw(self, monkeypatch):
+        calls = []
+        real_draw, real_chain = spanning._CycleSampler.draw, spanning._CycleSampler.chain
+
+        def draw(self, rotation_budget):
+            calls.append("draw")
+            return real_draw(self, rotation_budget)
+
+        def chain(self, rotation_budget):
+            calls.append("chain")
+            return real_chain(self, rotation_budget)
+
+        monkeypatch.setattr(spanning._CycleSampler, "draw", draw)
+        monkeypatch.setattr(spanning._CycleSampler, "chain", chain)
+        # K6 needs 4 extensions per draw, but a chain step needs more
+        # rotations than the budget allows, so every chain step fails.
+        budget = spanning._CHAIN_MIN_ROTATIONS - 1
+        v = confirm_spanning_sampled(Graph.complete(6), budget=12, seed=0,
+                                     rotation_budget=budget)
+        assert calls == ["draw", "chain"] * 6
+        assert v.rank_reached == len(v.certificate) > 0
+
+    @pytest.mark.parametrize("g", [
+        from_edge_list(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2), (2, 4)]),
+    ])
+    def test_no_hamilton_cycle_possible_returns_at_once(self, g, monkeypatch):
+        calls = []
+        real = hamfinder.rotation_extension_path
+        monkeypatch.setattr(hamfinder, "rotation_extension_path",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        v = confirm_spanning_sampled(g, budget=100, seed=0)
+        assert v.kind is VerdictKind.INCONCLUSIVE
+        assert v.rank_reached == 0 and v.certificate == ()
+        assert v.dim_cycle_space == spanning.cycle_space_dim(g) > 0
+        assert calls == []
+
+    def test_stalled_chain_draws_through_an_uncovered_edge(self, monkeypatch):
+        # On this graph the chain alone stays one rank short after dim + 50
+        # attempts: every cycle it finds avoids one rarely used edge.
+        g = sample_gnp(ModelParams(n=101, f=3.0, seed=434))
+        dim = spanning.cycle_space_dim(g)
+        with monkeypatch.context() as m:
+            m.setattr(spanning, "_CHAIN_PATIENCE", dim + 50)
+            v = confirm_spanning_sampled(g, budget=dim + 50, seed=434)
+        assert v.kind is VerdictKind.INCONCLUSIVE and v.rank_reached == dim - 1
+        targeted = []
+        real_draw = spanning._CycleSampler.draw
+
+        def draw(self, rotation_budget, edge=None):
+            if edge is not None:
+                uses = [hc.vector.bits >> edge & 1 for hc in self.certificate]
+                targeted.append((edge, any(uses)))
+            return real_draw(self, rotation_budget, edge)
+
+        monkeypatch.setattr(spanning._CycleSampler, "draw", draw)
+        v = confirm_spanning_sampled(g, budget=dim + 50, seed=434)
+        assert v.kind is VerdictKind.SPANNED_CONFIRMED
+        assert targeted and not any(used for _, used in targeted)
+        assert len({e for e, _ in targeted}) == len(targeted)
+
+    def test_chain_closes_near_dim_at_threshold(self, monkeypatch):
+        samplers = []
+
+        class Spy(spanning._CycleSampler):
+            def __init__(self, *args):
+                super().__init__(*args)
+                samplers.append(self)
+
+        monkeypatch.setattr(spanning, "_CycleSampler", Spy)
+        checked = 0
+        for s in range(40):
+            g = sample_gnp(ModelParams(n=101, f=3.0, seed=9000 + s))
+            if g.min_degree() < 3:
+                continue
+            dim = spanning.cycle_space_dim(g)
+            v = confirm_spanning_sampled(g, budget=dim + 50, seed=s)
+            assert v.kind is VerdictKind.SPANNED_CONFIRMED
+            assert samplers[-1].attempts - dim <= 20
+            checked += 1
+            if checked == 20:
+                break
+        assert checked == 20
 
 
 class TestExtractWitness:
