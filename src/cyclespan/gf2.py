@@ -7,7 +7,6 @@ the cycle space and the cut space of a graph are orthogonal complements.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -50,12 +49,21 @@ class EdgeVector:
 
     @classmethod
     def from_vertex_path(cls, g: Graph, path: Sequence[int], closed: bool = False) -> "EdgeVector":
-        """Edge set of a vertex walk; closed=True also takes the wrap edge."""
-        bits = 0
-        for u, v in zip(path, path[1:]):
-            bits ^= 1 << g.edge_id(u, v)
-        if closed and len(path) > 1:
-            bits ^= 1 << g.edge_id(path[-1], path[0])
+        """Edge set of a vertex walk; closed=True also takes the wrap edge.
+
+        Step uv adds star(u) & star(v): in a simple graph the bit of edge
+        uv, or 0 for a non-edge.  A non-edge, a repeated consecutive vertex
+        or a vertex out of range raises ValueError.
+        """
+        if path and (min(path) < 0 or max(path) >= g.n):
+            raise ValueError("vertex out of range")
+        walk = [*path, path[0]] if closed and len(path) > 1 else path
+        star, bits = g._star_bits, 0
+        for u, v in zip(walk, walk[1:]):
+            e = star[u] & star[v]
+            if not e or u == v:
+                raise ValueError(f"no edge ({u}, {v})")
+            bits ^= e
         return cls(bits, g.m)
 
     def _check(self, other: "EdgeVector") -> None:
@@ -116,30 +124,34 @@ class InsertOutcome:
 class Gf2Basis:
     """Incremental collection of rows in echelon form over GF(2).
 
-    Pivot of a row is its lowest set bit.  Incoming vectors are reduced
-    against all existing pivots, so insertion order never changes the
-    span, and `in_span` is a pure reduction to zero.
+    A row's pivot is its highest set bit; `_rows` maps pivot -> row in
+    insertion order and `_mask` holds the pivots.  Reduction XORs in the
+    row of the highest pivot hit until no pivot is hit: that row clears
+    its pivot and changes only lower bits, so the loop runs once per
+    pivot hit.  Insertion order never changes the span, and `in_span` is
+    a pure reduction to zero.
     """
 
-    __slots__ = ("m", "_rows", "_pivot_row", "_pivot_list")
+    __slots__ = ("m", "_rows", "_mask")
 
     def __init__(self, m: int):
         self.m = m
-        self._rows: list[int] = []
-        self._pivot_row: dict[int, int] = {}
-        self._pivot_list: list[int] = []
+        self._rows: dict[int, int] = {}
+        self._mask = 0
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
     def rows(self) -> list[EdgeVector]:
-        return [EdgeVector(r, self.m) for r in self._rows]
+        return [EdgeVector(r, self.m) for r in self._rows.values()]
 
     def _reduce(self, bits: int) -> int:
-        for p in self._pivot_list:
-            if bits >> p & 1:
-                bits ^= self._rows[self._pivot_row[p]]
+        rows, mask = self._rows, self._mask
+        hit = bits & mask
+        while hit:
+            bits ^= rows[hit.bit_length() - 1]
+            hit = bits & mask
         return bits
 
     def insert(self, v: EdgeVector) -> InsertOutcome:
@@ -148,31 +160,15 @@ class Gf2Basis:
         residual = self._reduce(v.bits)
         if residual == 0:
             return InsertOutcome(False, EdgeVector.zero(self.m))
-        pivot = (residual & -residual).bit_length() - 1
-        self._pivot_row[pivot] = len(self._rows)
-        self._rows.append(residual)
-        insort(self._pivot_list, pivot)
+        pivot = residual.bit_length() - 1
+        self._rows[pivot] = residual
+        self._mask |= 1 << pivot
         return InsertOutcome(True, EdgeVector(residual, self.m))
 
     def in_span(self, v: EdgeVector) -> bool:
         if v.m != self.m:
             raise ValueError("vector over wrong universe")
         return self._reduce(v.bits) == 0
-
-    def copy(self) -> "Gf2Basis":
-        dup = Gf2Basis(self.m)
-        dup._rows = list(self._rows)
-        dup._pivot_row = dict(self._pivot_row)
-        dup._pivot_list = list(self._pivot_list)
-        return dup
-
-
-def basis_insert(basis: Gf2Basis, v: EdgeVector) -> InsertOutcome:
-    return basis.insert(v)
-
-
-def in_span(basis: Gf2Basis, v: EdgeVector) -> bool:
-    return basis.in_span(v)
 
 
 def cycle_space_basis(g: Graph) -> list[EdgeVector]:

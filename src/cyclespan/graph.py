@@ -303,15 +303,6 @@ class Restriction:
     old_vertex: tuple[int, ...]  # new vertex id -> old vertex id
     old_edge: tuple[int, ...]    # new edge id -> old edge id
 
-    def new_vertex(self, old: int) -> int:
-        i = self._index().get(old)
-        if i is None:
-            raise ValueError(f"vertex {old} not kept")
-        return i
-
-    def _index(self) -> dict[int, int]:
-        return {old: new for new, old in enumerate(self.old_vertex)}
-
     def to_old_path(self, path: Iterable[int]) -> list[int]:
         return [self.old_vertex[v] for v in path]
 

@@ -15,7 +15,7 @@ from cyclespan.gf2 import (
 )
 from cyclespan.graph import Graph, from_edge_list
 
-from util import batch_gf2_rank, graph_from_mask, random_graph
+from util import batch_gf2_rank, edge_id_vertex_path, graph_from_mask, random_graph
 
 
 K4 = Graph.complete(4)
@@ -51,6 +51,52 @@ class TestEdgeVector:
             EdgeVector.from_hex("ff", 12)  # wrong byte count
         with pytest.raises(ValueError):
             EdgeVector.from_hex("00f0", 12)  # bits beyond m
+
+
+class TestFromVertexPath:
+    def test_repeated_consecutive_vertex_raises(self):
+        # star(1) & star(1) is the whole star, not an edge.
+        with pytest.raises(ValueError):
+            EdgeVector.from_vertex_path(K4, [0, 1, 1, 2])
+
+    def test_inner_non_edge_raises(self):
+        with pytest.raises(ValueError):
+            EdgeVector.from_vertex_path(Graph.cycle(5), [0, 1, 3, 4])
+
+    def test_closing_non_edge_raises(self):
+        path = [0, 1, 2, 3]
+        assert EdgeVector.from_vertex_path(Graph.path(4), path).weight == 3
+        with pytest.raises(ValueError):
+            EdgeVector.from_vertex_path(Graph.path(4), path, closed=True)
+
+    def test_vertex_out_of_range_raises(self):
+        # A negative id must not wrap around to vertex n - 1.
+        for path in ([0, 1, 2, -1], [0, 1, 2, 4]):
+            with pytest.raises(ValueError):
+                EdgeVector.from_vertex_path(Graph.complete(4), path, closed=True)
+
+    def test_matches_edge_id_reference(self):
+        rng = random.Random(44)
+        for _ in range(60):
+            n = rng.randint(5, 60)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.6))
+            walk = [rng.randrange(n)]
+            for _ in range(rng.randint(1, 2 * n)):
+                if not g.neighbors(walk[-1]):
+                    break
+                walk.append(rng.choice(g.neighbors(walk[-1])))
+            closing = [i for i in range(2, len(walk)) if g.has_edge(walk[i], walk[0])]
+            cases = [(walk, False), (walk[:closing[-1] + 1] if closing else walk, True),
+                     ([rng.randrange(n) for _ in range(rng.randint(1, n))], False),
+                     ([rng.randrange(n) for _ in range(rng.randint(1, n))], True)]
+            for path, closed in cases:
+                try:
+                    want = edge_id_vertex_path(g, path, closed)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        EdgeVector.from_vertex_path(g, path, closed)
+                    continue
+                assert EdgeVector.from_vertex_path(g, path, closed).bits == want
 
 
 @settings(max_examples=60)
@@ -117,14 +163,16 @@ class TestGf2Basis:
 
     def test_absorbed_insert_never_changes_answers(self):
         rng = random.Random(21)
-        for _ in range(20):
-            m = rng.randint(1, 16)
+        cases = [(rng.randint(1, 16), 8) for _ in range(20)]
+        for m, count in cases + _WIDE:
             basis = Gf2Basis(m)
-            vecs = [EdgeVector(rng.getrandbits(m), m) for _ in range(8)]
+            vecs = [EdgeVector(bits, m) for bits in _vectors(rng, m, count)]
             for v in vecs:
                 basis.insert(v)
             probes = [EdgeVector(rng.getrandbits(m), m) for _ in range(10)]
+            probes.append(vecs[0] ^ vecs[-1])
             before = [basis.in_span(q) for q in probes]
+            assert before[-1]
             absorbed = vecs[0] ^ vecs[1] if len(vecs) > 1 else vecs[0]
             if basis.in_span(absorbed):
                 assert not basis.insert(absorbed).extended
@@ -132,13 +180,41 @@ class TestGf2Basis:
 
     def test_rank_matches_batch_elimination(self):
         rng = random.Random(33)
-        for _ in range(30):
-            m = rng.randint(1, 18)
-            vecs = [rng.getrandbits(m) for _ in range(rng.randint(0, 10))]
+        cases = [(rng.randint(1, 18), rng.randint(0, 10)) for _ in range(30)]
+        for m, count in cases + _WIDE:
+            vecs = _vectors(rng, m, count)
             basis = Gf2Basis(m)
+            pivots = 0
             for bits in vecs:
-                basis.insert(EdgeVector(bits, m))
+                out = basis.insert(EdgeVector(bits, m))
+                if out.extended:
+                    # No bit at an earlier pivot (a row's highest bit).
+                    assert out.residual.bits & pivots == 0
+                    pivots |= 1 << (out.residual.bits.bit_length() - 1)
+                else:
+                    assert out.residual.is_zero()
             assert basis.rank == batch_gf2_rank(vecs, m)
+
+
+# (m, vector count) at the width of a G(201, p) threshold graph: m up to
+# 1 200 edges, about dim + 20 vectors, 20 of them dependent.
+_WIDE = [(1200, 1020), (1167, 987), (400, 230)]
+
+
+def _vectors(rng: random.Random, m: int, count: int) -> list[int]:
+    """Random vectors; at widths over 64, sparse ones plus 20 XORs of them."""
+    if m <= 64:
+        return [rng.getrandbits(m) for _ in range(count)]
+    gens = [sum(1 << e for e in rng.sample(range(m), 201)) for _ in range(count - 20)]
+    combos = []
+    for _ in range(20):
+        acc = 0
+        for bits in rng.sample(gens, rng.randint(2, 6)):
+            acc ^= bits
+        combos.append(acc)
+    vecs = gens + combos
+    rng.shuffle(vecs)
+    return vecs
 
 
 class TestCycleSpace:

@@ -35,6 +35,16 @@ def permutation_hamilton_cycles(g: Graph) -> set[tuple[int, ...]]:
     return out
 
 
+def edge_id_vertex_path(g: Graph, path: list[int], closed: bool = False) -> int:
+    """Edge mask of a vertex walk by one `edge_id` lookup per step."""
+    bits = 0
+    for u, v in zip(path, path[1:]):
+        bits ^= 1 << g.edge_id(u, v)
+    if closed and len(path) > 1:
+        bits ^= 1 << g.edge_id(path[-1], path[0])
+    return bits
+
+
 def batch_gf2_rank(rows: list[int], ncols: int) -> int:
     """Rank by plain Gaussian elimination over GF(2)."""
     work = [r for r in rows]
