@@ -564,7 +564,7 @@ def build_switcher(
             drop.append(g.edge_id(v, w))
     keep = VertexSet(n, side_b & ~(1 << vp[0]) & ~(1 << vp[k]))
     sub = restrict(g, keep, drop)
-    idx = {old: new for new, old in enumerate(sub.old_vertex)}
+    idx = sub.new_vertex
     try:
         pairs = [(idx[vp[j]], idx[vp[two_k - j]]) for j in range(1, k)]
     except KeyError:

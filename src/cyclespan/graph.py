@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 
@@ -127,14 +127,18 @@ class Graph:
         self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(norm)}
         adj = [0] * n
         star = [0] * n
+        # Sorted pairs reach every vertex's neighbours in ascending order.
+        nbrs = [[] for _ in range(n)]
         for i, (u, v) in enumerate(norm):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
             star[u] |= 1 << i
             star[v] |= 1 << i
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         self._adj_bits = adj
         self._star_bits = star
-        self._neighbors = [tuple(iter_bits(a)) for a in adj]
+        self._neighbors = [tuple(a) for a in nbrs]
 
     @property
     def m(self) -> int:
@@ -302,6 +306,9 @@ class Restriction:
     graph: Graph
     old_vertex: tuple[int, ...]  # new vertex id -> old vertex id
     old_edge: tuple[int, ...]    # new edge id -> old edge id
+    # old vertex id -> new vertex id; derived from old_vertex, so it takes
+    # no part in equality or hashing.
+    new_vertex: dict[int, int] = field(compare=False, repr=False)
 
     def to_old_path(self, path: Iterable[int]) -> list[int]:
         return [self.old_vertex[v] for v in path]
@@ -331,13 +338,9 @@ def restrict(g: Graph, keep_vertices: VertexSet, drop_edges: Iterable[int] = ())
         if u in new_of and v in new_of:
             pairs.append((new_of[u], new_of[v]))
             old_eids.append(eid)
-    sub = Graph(len(old_vertex), pairs)
-    # Graph() re-sorts pairs; rebuild the eid map in the sub's canonical order.
-    by_pair = {}
-    for (u, v), oe in zip(pairs, old_eids):
-        by_pair[(u, v) if u < v else (v, u)] = oe
-    old_edge = tuple(by_pair[e] for e in sub.edges)
-    return Restriction(sub, old_vertex, old_edge)
+    # Renumbering is monotone, so the kept pairs stay in sorted order and
+    # the sub's edge ids follow the host's.
+    return Restriction(Graph(len(old_vertex), pairs), old_vertex, tuple(old_eids), new_of)
 
 
 # ---------------------------------------------------------------------------

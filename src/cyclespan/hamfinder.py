@@ -182,20 +182,33 @@ def rotate_cycle(
     closed vertex order, unverified (the caller builds and checks the
     cycle), or None when `budget` rotations pass without a close.
     Rotations are added to `counter` when one is given.
+
+    The path always holds every vertex, so the pivots are the tip's
+    neighbours other than its predecessor: the j-th of them in ascending
+    order is read off the tip's sorted neighbour tuple, skipping the
+    predecessor, which draws the same pivot as `_rotate` would.
     """
     adj = g._adj_bits
+    nbrs = g._neighbors
     path = list(order[cut:]) + list(order[:cut])
-    on = (1 << g.n) - 1
     anchor_bit = 1 << path[0]
-    rng = random.Random(seed)
+    randrange = random.Random(seed).randrange
     steps = 0
     closed = False
     while steps < budget:
-        if steps >= min_rotations and adj[path[-1]] & anchor_bit:
+        tip = path[-1]
+        if steps >= min_rotations and adj[tip] & anchor_bit:
             closed = True
             break
-        if not _rotate(adj, path, on, rng):
+        nb = nbrs[tip]
+        if len(nb) < 2:
             break
+        j = randrange(len(nb) - 1)
+        v = nb[j]
+        if v >= path[-2]:
+            v = nb[j + 1]
+        i = path.index(v)
+        path[i + 1:] = path[:i:-1]
         steps += 1
     if counter is not None:
         counter.steps += steps
@@ -366,7 +379,7 @@ def hamilton_path_protected(
 
     def _closing_path(sub_keep: VertexSet, fx: int, fy: int, sd: int) -> list[int] | None:
         res = restrict(g, sub_keep)
-        idx = {old: new for new, old in enumerate(res.old_vertex)}
+        idx = res.new_vertex
         p = rotation_extension_path(res.graph, idx[fx], idx[fy],
                                     budget=closing_budget, seed=sd)
         return None if p is None else res.to_old_path(p)
@@ -403,7 +416,7 @@ def hamilton_path_protected(
     for a2, b2 in link_old:
         hub |= 1 << a2 | 1 << b2
     res1 = restrict(g, VertexSet(g.n, hub & ~(1 << x) & ~(1 << xs[0])))
-    idx1 = {old: new for new, old in enumerate(res1.old_vertex)}
+    idx1 = res1.new_vertex
     try:
         pairs1 = [(idx1[a2], idx1[b2]) for a2, b2 in link_old]
     except KeyError:

@@ -537,9 +537,9 @@ def normalize_witness(g: Graph, r: WitnessR, mode: str = "hillclimb") -> Witness
     least half its degree inside R.
 
     exact (n <= 24): per connected component, sweep all 2^(s-1) coset
-    elements and keep the support maximizer.  The maximizer satisfies
-    e_R(A, B) >= e_G(A, B)/2 for every partition, since flipping a
-    violated cut would enlarge it.
+    elements and keep the support maximizer, the first in Gray-code
+    order.  The maximizer satisfies e_R(A, B) >= e_G(A, B)/2 for every
+    partition, since flipping a violated cut would enlarge it.
     """
     if mode == "hillclimb":
         bits, _ = _hillclimb(g, r.vector.bits)
@@ -552,27 +552,51 @@ def normalize_witness(g: Graph, r: WitnessR, mode: str = "hillclimb") -> Witness
         bits = r.vector.bits
         for comp in g.components():
             members = comp.to_list()
-            if len(members) <= 1:
-                continue
-            stars = [g.star_bits(v) for v in members[1:]]  # anchor the first
-            best = cur = bits
-            best_w = cur.bit_count()
-            # Gray-code sweep: one star flip per step.
-            prev_code = 0
-            for i in range(1, 1 << len(stars)):
-                code = i ^ (i >> 1)
-                diff = code ^ prev_code
-                cur ^= stars[diff.bit_length() - 1]
-                prev_code = code
-                w = cur.bit_count()
-                if w > best_w:
-                    best_w = w
-                    best = cur
-            bits = best
+            if len(members) > 1:  # anchor the first member
+                bits = _coset_maximizer(bits, [g.star_bits(v) for v in members[1:]],
+                                        (g.m + 7) // 8)
         return dataclasses.replace(
             r, vector=EdgeVector(bits, g.m), normalized=True,
             size=bits.bit_count())
     raise ValueError(f"unknown mode {mode!r}")
+
+
+_SWEEP_BLOCK_BITS = 12  # a sweep block holds 2**_SWEEP_BLOCK_BITS coset elements
+_POPCOUNT8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
+def _coset_maximizer(bits: int, stars: list[int], nbytes: int) -> int:
+    """Heaviest element of bits + span(stars), the first in Gray order.
+
+    Element i of the sweep flips the stars named by the Gray code
+    i ^ (i >> 1).  Its low bits select rows of a table over the low
+    stars, built by reflection so that row l holds the flips of the
+    Gray code of l; the high bits select a block and are XORed in once.
+    Inside block h the Gray code's low part is that of l with the top
+    low star also flipped when h is odd.  Each row is a little-endian
+    byte string weighed through an 8-bit popcount table.
+    """
+    def row(x: int) -> np.ndarray:
+        return np.frombuffer(x.to_bytes(nbytes, "little"), np.uint8)
+
+    low = min(len(stars), _SWEEP_BLOCK_BITS)
+    table = np.zeros((1 << low, nbytes), np.uint8)
+    for j in range(low):
+        table[1 << j:2 << j] = table[(1 << j) - 1::-1] ^ row(stars[j])
+    best, best_w = bits, -1
+    for h in range(1 << (len(stars) - low)):
+        high = bits
+        for j in iter_bits(h ^ (h >> 1)):
+            high ^= stars[low + j]
+        if h & 1:
+            high ^= stars[low - 1]
+        block = table ^ row(high)
+        weights = _POPCOUNT8[block].sum(axis=1)
+        i = int(weights.argmax())
+        if weights[i] > best_w:  # strict: an earlier block keeps a tie
+            best_w = int(weights[i])
+            best = int.from_bytes(block[i].tobytes(), "little")
+    return best
 
 
 def _hillclimb(g: Graph, bits: int) -> tuple[int, int]:

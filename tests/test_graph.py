@@ -13,6 +13,7 @@ from cyclespan.graph import (
     from_edge_list_text,
     from_graph6,
     is_bipartite,
+    iter_bits,
     restrict,
     small_vertices,
     to_dot,
@@ -63,6 +64,17 @@ def test_order_insensitive_construction():
         h = from_edge_list(4, shuffled)
         assert h == from_edge_list(4, pairs)
         assert h.edge_index == from_edge_list(4, pairs).edge_index
+
+
+def test_neighbors_ascending_from_shuffled_pairs():
+    rng = random.Random(17)
+    for _ in range(40):
+        g = random_graph(rng, rng.randint(1, 40), rng.random())
+        pairs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges]
+        rng.shuffle(pairs)
+        h = from_edge_list(g.n, pairs)
+        for v in range(h.n):
+            assert h.neighbors(v) == tuple(iter_bits(h.adj_bits(v)))
 
 
 def test_degree_sum_is_twice_m():
@@ -176,6 +188,8 @@ class TestRestrict:
                 u, v = res.graph.pair_of(new_eid)
                 assert tuple(sorted((res.old_vertex[u], res.old_vertex[v]))) == g.pair_of(old_eid)
                 assert old_eid not in drop
+            assert res.old_edge == tuple(sorted(res.old_edge))
+            assert res.new_vertex == {old: new for new, old in enumerate(res.old_vertex)}
 
 
 class TestGraph6:

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from cyclespan.experiments import ModelParams, sample_gnp
 from cyclespan.gf2 import EdgeVector
 from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.hamfinder import (
@@ -16,7 +17,7 @@ from cyclespan.hamfinder import (
     short_path_in_r,
 )
 
-from util import brute_shortest_path, random_graph
+from util import brute_shortest_path, mask_rotate_cycle, random_graph
 
 
 class TestRotationExtension:
@@ -93,6 +94,41 @@ class TestRotateCycle:
         a = rotate_cycle(g, list(range(9)), 4, 10, 1_000, seed=5)
         b = rotate_cycle(g, list(range(9)), 4, 10, 1_000, seed=5)
         assert a == b
+
+    def _cycles(self):
+        """Graphs with one Hamilton cycle each: seeded G(n, p), K_n, C_n."""
+        rng = random.Random(11)
+        for t in range(40):
+            n = rng.randint(3, 60)
+            g = random_graph(rng, n, rng.uniform(0.15, 0.9))
+            if g.m:
+                yield g, rotation_extension_path(g, *g.edges[0], budget=30_000, seed=t)
+        for t in range(4):
+            g = sample_gnp(ModelParams(n=101, f=3, seed=500 + t))
+            if g.min_degree() >= 2:
+                yield g, rotation_extension_path(g, *g.edges[0], budget=200_000, seed=t)
+        for n in (3, 4, 9, 30):
+            yield Graph.complete(n), list(range(n))
+            yield Graph.cycle(n), list(range(n))
+
+    def test_matches_mask_reference(self):
+        checked = 0
+        for g, order in self._cycles():
+            if order is None:
+                continue
+            for cut in {0, 1, g.n // 2, g.n - 1}:
+                for seed in (1, 77, 4096):
+                    for min_rot in (0, 10):
+                        for budget in (min_rot - 1, 50, 30_000):
+                            counter = StepCounter()
+                            got = rotate_cycle(g, order, cut, min_rot, budget, seed,
+                                               counter=counter)
+                            want, steps = mask_rotate_cycle(g, order, cut, min_rot,
+                                                            budget, seed)
+                            assert got == want
+                            assert counter.steps == steps
+                            checked += want is not None
+        assert checked > 1_000
 
 
 class TestLllSplit:

@@ -26,6 +26,7 @@ from util import (
     all_bipartition_cuts,
     batch_gf2_rank,
     graph_from_mask,
+    gray_loop_normalize,
     permutation_hamilton_cycles,
     petersen,
     random_graph,
@@ -484,6 +485,23 @@ class TestNormalize:
                 e_r_cut = (cut & out.vector.bits).bit_count()
                 assert 2 * e_r_cut >= e_cut
             assert out.size >= r.size
+
+    @pytest.mark.parametrize("block_bits", [12, 3, 1])
+    def test_exact_sweep_matches_gray_loop(self, monkeypatch, block_bits):
+        monkeypatch.setattr(spanning, "_SWEEP_BLOCK_BITS", block_bits)
+        rng = random.Random(15)
+        graphs = [random_graph(rng, rng.randint(2, 12), rng.uniform(0.2, 0.9))
+                  for _ in range(30)]
+        # Three components of 5, 4 and 2 vertices, plus an isolated vertex.
+        graphs.append(from_edge_list(12, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2),
+                                          (5, 6), (6, 7), (7, 8), (8, 5), (5, 7), (9, 10)]))
+        for g in graphs:
+            for _ in range(3):
+                bits = rng.getrandbits(g.m) if g.m else 0
+                out = normalize_witness(g, WitnessR.unverified(EdgeVector(bits, g.m)),
+                                        mode="exact")
+                assert out.vector.bits == gray_loop_normalize(g, bits)
+                assert out.size == out.vector.bits.bit_count()
 
     def test_exact_mode_size_limit(self):
         g = Graph.path(30)

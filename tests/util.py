@@ -45,6 +45,60 @@ def edge_id_vertex_path(g: Graph, path: list[int], closed: bool = False) -> int:
     return bits
 
 
+def mask_rotate_cycle(g: Graph, order: list[int], cut: int, min_rotations: int,
+                      budget: int, seed: int) -> tuple[list[int] | None, int]:
+    """Pósa rotations of a cut Hamilton cycle, pivots drawn from a bit mask.
+
+    The pivot set is the tip's neighbours minus its predecessor as an
+    n-bit mask; the drawn index is walked down to its set bit.  Returns
+    the closed order (or None) and the rotations made.
+    """
+    path = list(order[cut:]) + list(order[:cut])
+    anchor_bit = 1 << path[0]
+    rng = random.Random(seed)
+    steps = 0
+    while steps < budget:
+        if steps >= min_rotations and g.adj_bits(path[-1]) & anchor_bit:
+            return path, steps
+        if len(path) < 3:
+            break
+        pivots = g.adj_bits(path[-1]) & ~(1 << path[-2])
+        if not pivots:
+            break
+        mask = pivots
+        for _ in range(rng.randrange(pivots.bit_count())):
+            mask &= mask - 1
+        i = path.index((mask & -mask).bit_length() - 1)
+        path[i + 1:] = path[:i:-1]
+        steps += 1
+    return None, steps
+
+
+def gray_loop_normalize(g: Graph, bits: int) -> int:
+    """Largest member of the cut coset of bits, first in Gray order.
+
+    Per component, every star but the first member's is flipped in
+    Gray-code order, one flip per step, keeping the strict maximum.
+    """
+    for comp in g.components():
+        members = comp.to_list()
+        if len(members) <= 1:
+            continue
+        stars = [g.star_bits(v) for v in members[1:]]
+        best = cur = bits
+        best_w = cur.bit_count()
+        prev_code = 0
+        for i in range(1, 1 << len(stars)):
+            code = i ^ (i >> 1)
+            cur ^= stars[(code ^ prev_code).bit_length() - 1]
+            prev_code = code
+            if cur.bit_count() > best_w:
+                best_w = cur.bit_count()
+                best = cur
+        bits = best
+    return bits
+
+
 def batch_gf2_rank(rows: list[int], ncols: int) -> int:
     """Rank by plain Gaussian elimination over GF(2)."""
     work = [r for r in rows]
