@@ -6,7 +6,7 @@ Library layout:
 - gf2: edge vectors, incremental elimination, cycle and cut spaces
 - spanning: Hamilton cycle enumeration, spanning verdicts, witnesses
 - switcher: parity switcher gadgets and their two-parity traversals
-- hamfinder: rotation-extension search, splits, expansion checks
+- hamfinder: rotation-extension search, splits, sheltered Hamilton paths
 - experiments: G(n, p) sampling, the refutation pipeline, campaigns
 """
 
@@ -28,14 +28,13 @@ from .spanning import (
 )
 from .switcher import ParitySwitcher, disjoint_pair_paths, find_switcher_cycle, \
     hamilton_paths_of_switcher
-from .hamfinder import ExpanderParams, SplitRequest, expander_check, \
-    hamilton_path_protected, lll_split, rotation_extension_path, short_path_in_r
+from .hamfinder import SplitRequest, hamilton_path_protected, lll_split, \
+    rotation_extension_path
 from .experiments import (
     CellSpec,
     ExperimentConfig,
     ModelParams,
     TrialRecord,
-    chernoff_tail,
     property_report,
     refutation_pipeline,
     run_experiment,

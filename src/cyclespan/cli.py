@@ -159,7 +159,7 @@ def _cmd_experiment(args) -> int:
                   for n in args.n)
     config = ExperimentConfig(
         cells=cells, master_seed=args.seed, workers=args.workers,
-        span_extra=args.budget, with_properties=args.props,
+        span_extra=args.budget,
         with_refutation=args.refute, allow_even_n=args.allow_even_n)
     records = run_experiment(config, out_path=args.out)
     confirmed = sum(1 for r in records if r.verdict == "SpannedConfirmed")
@@ -240,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--budget", type=int, default=50,
                     help="extra spanning samples beyond the cycle-space dim")
-    sp.add_argument("--props", action="store_true")
     sp.add_argument("--refute", action="store_true")
     sp.add_argument("--allow-even-n", action="store_true")
     sp.add_argument("--out")

@@ -13,19 +13,19 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import logging
 import math
 import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import spanning
 from .gf2 import EdgeVector, intersection_parity
-from .graph import Graph, VertexSet, from_edge_list, iter_bits, restrict, small_vertices
+from .graph import Graph, VertexSet, bfs_path, edge_subgraph_adj, from_edge_list, \
+    iter_bits, mask_of, restrict, small_vertices
 from .hamfinder import SplitRequest, hamilton_path_protected, lll_split
 from .seeds import derive_seed
 from .spanning import (
@@ -97,26 +97,6 @@ def sample_gnp(params: ModelParams) -> Graph:
     # triu_indices enumerates pairs in lexicographic order already.
     pairs = list(zip(rows[keep].tolist(), cols[keep].tolist()))
     return from_edge_list(n, pairs)
-
-
-def chernoff_tail(kind: str, mean: float, ratio: float) -> float:
-    """Binomial tail bound exp(-(r ln r - r + 1) * mean).
-
-    kind="lower" bounds P(X <= ratio*E X) for 0 < ratio < 1;
-    kind="upper" bounds P(X >= ratio*E X) for ratio > 1.
-    """
-    if mean < 0:
-        raise ValueError("mean must be nonnegative")
-    if kind == "lower":
-        if not 0 < ratio < 1:
-            raise ValueError("lower tail needs 0 < ratio < 1")
-    elif kind == "upper":
-        if not ratio > 1:
-            raise ValueError("upper tail needs ratio > 1")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    exponent = (ratio * math.log(ratio) - ratio + 1.0) * mean
-    return math.exp(-exponent)
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +244,6 @@ def _check_small_path_free(g: Graph, small_set: VertexSet, ln_n: float,
         banned = VertexSet(g.n).add(u)
         for i, a in enumerate(nbrs):
             for b in nbrs[i + 1:]:
-                from .graph import bfs_path
                 path = bfs_path(g, a, b, banned)
                 if path is not None and len(path) + 1 <= max_len:
                     detail["endpoints"] = [u, u]
@@ -273,12 +252,52 @@ def _check_small_path_free(g: Graph, small_set: VertexSet, ln_n: float,
     return PropertyCheck("small_path_free", True, "exact", detail)
 
 
-def _subset_masks(universe: list[int], size: int):
-    for combo in itertools.combinations(universe, size):
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        yield combo, mask
+def _set_pairs(n: int, exact: bool, rng: random.Random, samples: int,
+               sizes: Iterable[tuple[int, Iterable[int]]],
+               draw: Callable[[random.Random], tuple[int, int]],
+               unordered: bool = False) -> Iterator[tuple[int, int]]:
+    """Vertex-set pairs (A, B), as bit masks, for one set-quantified check.
+
+    Exact: for each (a, bs) in `sizes`, every a-subset A in combination
+    order and, inside that, every B of a size in bs taken from the other
+    vertices; `unordered` skips the pairs whose least vertex lies in B.
+    Sampled: `samples` draws, each taking the sizes (a, b) = draw(rng)
+    and then rng.sample(range(n), a + b), whose first a vertices form A.
+    """
+    if not exact:
+        for _ in range(samples):
+            a, b = draw(rng)
+            pick = rng.sample(range(n), a + b)
+            yield mask_of(pick[:a]), mask_of(pick[a:])
+        return
+    for a, bs in sizes:
+        for combo_a in itertools.combinations(range(n), a):
+            mask_a = mask_of(combo_a)
+            rest = [v for v in range(n) if not mask_a >> v & 1]
+            for b in bs:
+                for combo_b in itertools.combinations(rest, b):
+                    if unordered and combo_a[0] > combo_b[0]:
+                        continue
+                    yield mask_a, mask_of(combo_b)
+
+
+def _first_violation(name: str, exact: bool, detail: dict,
+                     pairs: Iterable[tuple[int, int]], violation) -> PropertyCheck:
+    """Fail at the first pair whose `violation` is not None.
+
+    The failure records A, B when it is not empty, and the violation's
+    own entries in `detail`.
+    """
+    mode = "exact" if exact else "sampled"
+    for mask_a, mask_b in pairs:
+        found = violation(mask_a, mask_b)
+        if found is not None:
+            detail["A"] = list(iter_bits(mask_a))
+            if mask_b:
+                detail["B"] = list(iter_bits(mask_b))
+            detail.update(found)
+            return PropertyCheck(name, False, mode, detail)
+    return PropertyCheck(name, True, mode, detail)
 
 
 def _edges_inside(g: Graph, mask: int) -> int:
@@ -300,24 +319,15 @@ def _check_sparse_internal(g, size_cap, dens_bound, exact, rng, samples):
     detail = {"size_cap": size_cap, "density_bound": dens_bound}
     if size_cap < 2:
         return PropertyCheck(name, True, "vacuous", detail)
-    n = g.n
-    if exact:
-        for size in range(2, min(size_cap, n) + 1):
-            for combo, mask in _subset_masks(list(range(n)), size):
-                if _edges_inside(g, mask) > size * dens_bound:
-                    detail.update({"A": list(combo), "edges": _edges_inside(g, mask)})
-                    return PropertyCheck(name, False, "exact", detail)
-        return PropertyCheck(name, True, "exact", detail)
-    for _ in range(samples):
-        size = rng.randrange(2, min(size_cap, n) + 1)
-        combo = rng.sample(range(n), size)
-        mask = 0
-        for v in combo:
-            mask |= 1 << v
-        if _edges_inside(g, mask) > size * dens_bound:
-            detail.update({"A": sorted(combo), "edges": _edges_inside(g, mask)})
-            return PropertyCheck(name, False, "sampled", detail)
-    return PropertyCheck(name, True, "sampled", detail)
+    top = min(size_cap, g.n)
+
+    def violation(mask_a, _mask_b):
+        edges = _edges_inside(g, mask_a)
+        return {"edges": edges} if edges > mask_a.bit_count() * dens_bound else None
+
+    pairs = _set_pairs(g.n, exact, rng, samples, [(a, [0]) for a in range(2, top + 1)],
+                       lambda r: (r.randrange(2, top + 1), 0))
+    return _first_violation(name, exact, detail, pairs, violation)
 
 
 def _check_sparse_cross(g, size_cap, dens_bound, ln_n, exact, rng, samples):
@@ -328,29 +338,14 @@ def _check_sparse_cross(g, size_cap, dens_bound, ln_n, exact, rng, samples):
     sizes = [(a, b) for a, b in sizes if b >= 1 and a + b <= n]
     if not sizes:
         return PropertyCheck(name, True, "vacuous", detail)
-    if exact:
-        for a, b in sizes:
-            for combo_a, mask_a in _subset_masks(list(range(n)), a):
-                rest = [v for v in range(n) if not mask_a >> v & 1]
-                for combo_b, mask_b in _subset_masks(rest, b):
-                    if _edges_between(g, mask_a, mask_b) > a * dens_bound:
-                        detail.update({"A": list(combo_a), "B": list(combo_b),
-                                       "edges": _edges_between(g, mask_a, mask_b)})
-                        return PropertyCheck(name, False, "exact", detail)
-        return PropertyCheck(name, True, "exact", detail)
-    for _ in range(samples):
-        a, b = rng.choice(sizes)
-        pick = rng.sample(range(n), a + b)
-        mask_a = mask_b = 0
-        for v in pick[:a]:
-            mask_a |= 1 << v
-        for v in pick[a:]:
-            mask_b |= 1 << v
-        if _edges_between(g, mask_a, mask_b) > a * dens_bound:
-            detail.update({"A": sorted(pick[:a]), "B": sorted(pick[a:]),
-                           "edges": _edges_between(g, mask_a, mask_b)})
-            return PropertyCheck(name, False, "sampled", detail)
-    return PropertyCheck(name, True, "sampled", detail)
+
+    def violation(mask_a, mask_b):
+        edges = _edges_between(g, mask_a, mask_b)
+        return {"edges": edges} if edges > mask_a.bit_count() * dens_bound else None
+
+    pairs = _set_pairs(n, exact, rng, samples, [(a, [b]) for a, b in sizes],
+                       lambda r: r.choice(sizes))
+    return _first_violation(name, exact, detail, pairs, violation)
 
 
 def _check_dense_band(g, floor_size, p_eff, exact, rng, samples):
@@ -360,41 +355,19 @@ def _check_dense_band(g, floor_size, p_eff, exact, rng, samples):
     if floor_size < 1 or 2 * floor_size > n or p_eff <= 0:
         return PropertyCheck(name, True, "vacuous", detail)
 
-    def band_ok(mask_a, mask_b) -> bool:
-        e = _edges_between(g, mask_a, mask_b)
+    def violation(mask_a, mask_b):
+        edges = _edges_between(g, mask_a, mask_b)
         expect = mask_a.bit_count() * mask_b.bit_count() * p_eff
-        return 0.999 * expect <= e <= 1.001 * expect
+        return None if 0.999 * expect <= edges <= 1.001 * expect else {"edges": edges}
 
-    if exact:
-        for a in range(floor_size, n - floor_size + 1):
-            for combo_a, mask_a in _subset_masks(list(range(n)), a):
-                rest = [v for v in range(n) if not mask_a >> v & 1]
-                for b in range(floor_size, len(rest) + 1):
-                    for combo_b, mask_b in _subset_masks(rest, b):
-                        if combo_a[0] > combo_b[0]:
-                            continue  # unordered pairs once
-                        if not band_ok(mask_a, mask_b):
-                            detail.update({"A": list(combo_a), "B": list(combo_b),
-                                           "edges": _edges_between(g, mask_a, mask_b)})
-                            return PropertyCheck(name, False, "exact", detail)
-        return PropertyCheck(name, True, "exact", detail)
-    for _ in range(samples):
-        a = rng.randrange(floor_size, n - floor_size + 1)
-        b_max = n - a
-        if b_max < floor_size:
-            continue
-        b = rng.randrange(floor_size, b_max + 1)
-        pick = rng.sample(range(n), a + b)
-        mask_a = mask_b = 0
-        for v in pick[:a]:
-            mask_a |= 1 << v
-        for v in pick[a:]:
-            mask_b |= 1 << v
-        if not band_ok(mask_a, mask_b):
-            detail.update({"A": sorted(pick[:a]), "B": sorted(pick[a:]),
-                           "edges": _edges_between(g, mask_a, mask_b)})
-            return PropertyCheck(name, False, "sampled", detail)
-    return PropertyCheck(name, True, "sampled", detail)
+    def draw(r):
+        a = r.randrange(floor_size, n - floor_size + 1)
+        return a, r.randrange(floor_size, n - a + 1)
+
+    sizes = [(a, range(floor_size, n - a + 1))
+             for a in range(floor_size, n - floor_size + 1)]
+    pairs = _set_pairs(n, exact, rng, samples, sizes, draw, unordered=True)
+    return _first_violation(name, exact, detail, pairs, violation)
 
 
 def _check_half_degree(g, delta, ln_n, lln, rng, samples):
@@ -406,15 +379,13 @@ def _check_half_degree(g, delta, ln_n, lln, rng, samples):
     if a_req < 1 or b_req < 1 or a_req + b_req > n:
         # The quantifier range is empty at this n; nothing to refute.
         return PropertyCheck(name, True, "vacuous", detail)
-    for _ in range(samples):
-        pick = rng.sample(range(n), a_req + b_req)
-        a_set = VertexSet.of(n, pick[:a_req])
-        b_set = VertexSet.of(n, pick[a_req:])
-        ok, _w = half_degree_holds(g, a_set, b_set, delta)
-        if not ok:
-            detail.update({"A": sorted(pick[:a_req]), "B": sorted(pick[a_req:])})
-            return PropertyCheck(name, False, "sampled", detail)
-    return PropertyCheck(name, True, "sampled", detail)
+
+    def violation(mask_a, mask_b):
+        ok, _w = half_degree_holds(g, VertexSet(n, mask_a), VertexSet(n, mask_b), delta)
+        return None if ok else {}
+
+    pairs = _set_pairs(n, False, rng, samples, (), lambda r: (a_req, b_req))
+    return _first_violation(name, False, detail, pairs, violation)
 
 
 def _check_witness_cross(g, r, exact, rng, samples):
@@ -424,36 +395,14 @@ def _check_witness_cross(g, r, exact, rng, samples):
     detail = {"size": size}
     if size < 1 or 2 * size > n:
         return PropertyCheck(name, True, "vacuous", detail)
-    r_adj = [0] * n
-    for eid in iter_bits(r.bits):
-        u, v = g.pair_of(eid)
-        r_adj[u] |= 1 << v
-        r_adj[v] |= 1 << u
+    r_adj = edge_subgraph_adj(g, r.bits)
 
-    def r_edges_between(mask_a, mask_b):
-        return sum((r_adj[v] & mask_b).bit_count() for v in iter_bits(mask_a))
+    def violation(mask_a, mask_b):
+        return None if any(r_adj[v] & mask_b for v in iter_bits(mask_a)) else {}
 
-    if exact:
-        for combo_a, mask_a in _subset_masks(list(range(n)), size):
-            rest = [v for v in range(n) if not mask_a >> v & 1]
-            for combo_b, mask_b in _subset_masks(rest, size):
-                if combo_a[0] > combo_b[0]:
-                    continue
-                if r_edges_between(mask_a, mask_b) == 0:
-                    detail.update({"A": list(combo_a), "B": list(combo_b)})
-                    return PropertyCheck(name, False, "exact", detail)
-        return PropertyCheck(name, True, "exact", detail)
-    for _ in range(samples):
-        pick = rng.sample(range(n), 2 * size)
-        mask_a = mask_b = 0
-        for v in pick[:size]:
-            mask_a |= 1 << v
-        for v in pick[size:]:
-            mask_b |= 1 << v
-        if r_edges_between(mask_a, mask_b) == 0:
-            detail.update({"A": sorted(pick[:size]), "B": sorted(pick[size:])})
-            return PropertyCheck(name, False, "sampled", detail)
-    return PropertyCheck(name, True, "sampled", detail)
+    pairs = _set_pairs(n, exact, rng, samples, [(size, [size])],
+                       lambda _r: (size, size), unordered=True)
+    return _first_violation(name, exact, detail, pairs, violation)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +441,7 @@ class RefutationResult:
     switcher: ParitySwitcher | None = None
     outer_parity: int | None = None
     attempts: int = 0
-    via: str = "none"  # "switcher" | "enumeration" | "none"
+    via: str = "none"  # "switcher" | "parity_dp" | "none"
 
     @property
     def ok(self) -> bool:
@@ -534,9 +483,7 @@ def build_switcher(
         else:
             vp.append(v)
 
-    u_mask = 0
-    for v in itertools.chain(cycle, vp):
-        u_mask |= 1 << v
+    u_mask = mask_of(itertools.chain(cycle, vp))
     y_mask = ((1 << n) - 1) & ~small_set.mask & ~u_mask
     y_set = VertexSet(n, y_mask)
     if len(y_set) < 2:
@@ -550,11 +497,8 @@ def build_switcher(
     z_mask = small_set.mask
     for u in small_set:
         z_mask |= g.adj_bits(u)
-    vp_mask = 0
-    for v in vp:
-        vp_mask |= 1 << v
     side_a = (a_half.mask | z_mask) & ~u_mask
-    side_b = (b_half.mask & ~z_mask) | vp_mask
+    side_b = (b_half.mask & ~z_mask) | mask_of(vp)
 
     # Route the connector interiors inside the B side, away from the
     # cycle edges, the escort hops, and the two closing-stage terminals.
@@ -606,7 +550,6 @@ def refutation_pipeline(
     small: VertexSet | None = None,
     closing_budget: int = 300_000,
     enumeration_fallback: bool = True,
-    fallback_budget: int = 10**7,
 ) -> RefutationResult:
     """Construct a verified Hamilton cycle with odd witness overlap.
 
@@ -616,8 +559,10 @@ def refutation_pipeline(
     assembly picks the switcher traversal whose parity complements the
     outer path and concatenates the two.  Every success is re-verified:
     the output is a Hamilton cycle of g whose overlap with r.vector is
-    odd.  Failures are retried with fresh sub-seeds; for n <= 16 a final
-    fallback scans the complete Hamilton cycle enumeration instead.
+    odd.  Failures are retried with fresh sub-seeds.  For n <= 16,
+    `enumeration_fallback` then asks the exact decider's parity subset DP,
+    which returns a Hamilton cycle meeting r oddly or proves that none
+    exists.
     """
     small_set = small if small is not None else (small_vertices(g) if g.n >= 2 else VertexSet(g.n))
     last_stage, last_detail = "S2a", "not attempted"
@@ -634,9 +579,7 @@ def refutation_pipeline(
         vp = meta["vp"]
         cycle = sw.cycle
         k = sw.k
-        w_mask = 0
-        for v in itertools.chain(cycle, *meta["links"]):
-            w_mask |= 1 << v
+        w_mask = mask_of(itertools.chain(cycle, *meta["links"]))
         w_mask &= ~(1 << vp[0]) & ~(1 << vp[k])
         s_set = VertexSet(g.n, ((1 << g.n) - 1) & ~w_mask)
         try:
@@ -665,13 +608,15 @@ def refutation_pipeline(
         return RefutationResult(hc, switcher=sw, outer_parity=outer_parity,
                                 attempts=attempt + 1, via="switcher")
     if enumeration_fallback and g.n <= 16:
-        try:
-            for hc in spanning.enumerate_hamilton_cycles(g, budget=fallback_budget):
-                if intersection_parity(hc.vector, r.vector) == 1:
-                    return RefutationResult(hc, attempts=retries, via="enumeration")
-            last_stage, last_detail = "S3", "no odd-overlap Hamilton cycle exists"
-        except spanning.BudgetExceeded:
-            last_stage, last_detail = "S3", "enumeration fallback budget exhausted"
+        hamiltonian, order = spanning._odd_hamilton_cycle(g, r.vector.bits)
+        if order is not None:
+            hc = HamiltonCycle.from_order(g, order)
+            if intersection_parity(hc.vector, r.vector) != 1:
+                raise RuntimeError("parity DP cycle has even witness overlap")
+            return RefutationResult(hc, attempts=retries, via="parity_dp")
+        last_stage = "S3"
+        last_detail = ("no odd-overlap Hamilton cycle exists" if hamiltonian
+                       else "no Hamilton cycle exists")
     return RefutationResult(None, failed_stage=last_stage, detail=last_detail,
                             attempts=retries)
 
@@ -744,14 +689,13 @@ class ExperimentConfig:
     workers: int = 1
     span_extra: int = 50
     rotation_budget: int = 30_000
-    with_properties: bool = False
     with_refutation: bool = False
     allow_even_n: bool = False
 
 
 def _run_trial(args: tuple) -> TrialRecord:
     (cell_idx, trial_idx, n, p, master_seed, span_extra, rotation_budget,
-     with_props, with_refutation, allow_even) = args
+     with_refutation, allow_even) = args
     seed = derive_seed(master_seed, "cell", cell_idx, "trial", trial_idx)
     params = ModelParams(n=n, p=p, seed=seed, allow_even_n=allow_even)
     t0 = time.perf_counter()
@@ -773,13 +717,6 @@ def _run_trial(args: tuple) -> TrialRecord:
         hamiltonian = "yes"
     else:
         hamiltonian = "unknown"
-
-    if with_props:
-        rep = property_report(g, p=p, seed=derive_seed(seed, "props"), samples=2_000)
-        if not rep.all_passed:
-            failed = [name for name, c in rep.checks.items() if not c.passed]
-            logging.getLogger(__name__).info(
-                "trial seed=%d: property checks failed: %s", seed, failed)
 
     switcher_found = False
     refutation_ok: bool | None = None
@@ -825,8 +762,7 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> lis
         for ti in range(cell.trials):
             tasks.append((ci, ti, cell.n, p, config.master_seed,
                           config.span_extra, config.rotation_budget,
-                          config.with_properties, config.with_refutation,
-                          config.allow_even_n))
+                          config.with_refutation, config.allow_even_n))
     records = []
     with contextlib.ExitStack() as stack:
         if config.workers > 1:

@@ -10,6 +10,7 @@ runs and machines.
 from __future__ import annotations
 
 import math
+import random
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -25,6 +26,14 @@ def iter_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask_of(ids: Iterable[int]) -> int:
+    """Bit mask with the given positions set."""
+    mask = 0
+    for v in ids:
+        mask |= 1 << v
+    return mask
 
 
 @dataclass(frozen=True)
@@ -250,11 +259,23 @@ def small_vertices(g: Graph) -> VertexSet:
     return VertexSet(g.n, mask)
 
 
-def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None) -> list[int] | None:
+def edge_subgraph_adj(g: Graph, edge_bits: int) -> list[int]:
+    """Neighbor masks of the spanning subgraph of g on the edges in edge_bits."""
+    adj = [0] * g.n
+    for eid in iter_bits(edge_bits):
+        u, v = g.edges[eid]
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None,
+             rng: random.Random | None = None) -> list[int] | None:
     """Shortest path from x to y avoiding forbidden vertices, or None.
 
     Ties are broken by expanding neighbors in ascending id order, so the
-    returned path is deterministic.
+    returned path is deterministic.  With `rng`, each dequeued vertex's
+    full neighbor list is shuffled by it before the expansion instead.
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("endpoint out of range")
@@ -267,7 +288,11 @@ def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None) -> li
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        nbrs = g.neighbors(u)
+        if rng is not None:
+            nbrs = list(nbrs)
+            rng.shuffle(nbrs)
+        for w in nbrs:
             if w in parent or banned >> w & 1:
                 continue
             parent[w] = u
@@ -475,9 +500,3 @@ def from_edge_list_text(text: str) -> Graph:
         pairs.append((int(parts[0]), int(parts[1])))
     return Graph(n, pairs)
 
-
-def to_dot(g: Graph, name: str = "g") -> str:
-    """Best-effort DOT export for visualization."""
-    body = "".join(f"  {u} -- {v};\n" for u, v in g.edges)
-    isolated = "".join(f"  {v};\n" for v in range(g.n) if g.degree(v) == 0)
-    return f"graph {name} {{\n{isolated}{body}}}\n"

@@ -7,22 +7,18 @@ between prescribed endpoints fast; it never certifies nonexistence.
 `rotate_cycle` turns one Hamilton cycle into another with the same
 rotations.
 
-Around it: degree-preserving random vertex splits, short paths inside a
-witness subgraph, Hamilton paths that first shelter low-degree vertices
-behind escort pairs, and expansion property checkers.
+Around it: degree-preserving random vertex splits and Hamilton paths
+that first shelter low-degree vertices behind escort pairs.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .gf2 import EdgeVector
-from .graph import Graph, VertexSet, iter_bits, restrict, small_vertices
+from .graph import Graph, VertexSet, iter_bits, mask_of, restrict, small_vertices
 from .seeds import derive_seed
 from .switcher import disjoint_pair_paths
 
@@ -250,19 +246,23 @@ def lll_split(
     Uniform a-subsets are resampled until every vertex v satisfies
     3|Y| deg(v, A) >= a deg(v, Y) and 3|Y| deg(v, B) >= b deg(v, Y)
     (checked in exact integer arithmetic), or retries run out, in which
-    case None is returned; the floors are not always satisfiable.
+    case None is returned.  The floors are not always satisfiable: A and
+    B split deg(v, Y) = d into whole degrees, so v needs
+    ceil(a d / 3|Y|) + ceil(b d / 3|Y|) <= d, which fails exactly when
+    d = 1.  Such a request returns None before any draw.
     """
     y_mask = req.y_vertices.mask
     size_y = len(req.y_vertices)
     members = req.y_vertices.to_list()
-    rng = random.Random(seed)
     a, b = req.a, req.b
     relevant = [v for v in range(g.n) if g.adj_bits(v) & y_mask]
+    for v in relevant:
+        d = (g.adj_bits(v) & y_mask).bit_count()
+        if -(-a * d // (3 * size_y)) - (-b * d // (3 * size_y)) > d:
+            return None
+    rng = random.Random(seed)
     for _ in range(max(1, retries)):
-        chosen = rng.sample(members, a)
-        a_mask = 0
-        for v in chosen:
-            a_mask |= 1 << v
+        a_mask = mask_of(rng.sample(members, a))
         b_mask = y_mask & ~a_mask
         ok = True
         for v in relevant:
@@ -276,51 +276,6 @@ def lll_split(
                 break
         if ok:
             return VertexSet(g.n, a_mask), VertexSet(g.n, b_mask)
-    return None
-
-
-def short_path_in_r(
-    g: Graph,
-    r: EdgeVector,
-    x: int,
-    y: int,
-    avoid: VertexSet | None = None,
-) -> list[int] | None:
-    """Shortest path from x to y using only r-edges and non-avoided vertices.
-
-    x and y are always admitted even if listed in avoid's closure role;
-    they must not themselves be in avoid.  None when the restricted
-    r-subgraph disconnects them.
-    """
-    if r.m != g.m:
-        raise ValueError("vector over wrong universe")
-    banned = avoid.mask if avoid is not None else 0
-    if banned >> x & 1 or banned >> y & 1:
-        raise ValueError("endpoint in avoid set")
-    n = g.n
-    adj = [0] * n
-    for eid in iter_bits(r.bits):
-        u, v = g.pair_of(eid)
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-    allowed = (((1 << n) - 1) & ~banned) | 1 << x | 1 << y
-    if x == y:
-        return [x]
-    parent = {x: -1}
-    queue = deque([x])
-    while queue:
-        u = queue.popleft()
-        for w in iter_bits(adj[u] & allowed):
-            if w in parent:
-                continue
-            parent[w] = u
-            if w == y:
-                path = [y]
-                while path[-1] != x:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
     return None
 
 
@@ -398,9 +353,7 @@ def hamilton_path_protected(
         return ProtectedPathResult(None, "escort")
     xs, ys = escorts
 
-    u_mask = 0
-    for u in itertools.chain(s_small, xs, ys):
-        u_mask |= 1 << u
+    u_mask = mask_of(itertools.chain(s_small, xs, ys))
     y_rest = VertexSet(g.n, s_mask & ~u_mask)
     if len(y_rest) < 2:
         return ProtectedPathResult(None, "split")
@@ -428,7 +381,7 @@ def hamilton_path_protected(
     links = [res1.to_old_path(p) for p in routed]
 
     used = set(itertools.chain(s_small, *links))
-    w_keep = VertexSet(g.n, s_mask & ~_mask_of(used))
+    w_keep = VertexSet(g.n, s_mask & ~mask_of(used))
     if x not in w_keep or xs[0] not in w_keep:
         return ProtectedPathResult(None, "closing")
     closing = _closing_path(w_keep, x, xs[0], derive_seed(seed, "close"))
@@ -453,13 +406,6 @@ def hamilton_path_protected(
             full_path.extend(p[1:])
     verify_hamilton_path_in_set(g, full_path, s_vertices, x, y)
     return ProtectedPathResult(tuple(full_path))
-
-
-def _mask_of(ids: Iterable[int]) -> int:
-    out = 0
-    for v in ids:
-        out |= 1 << v
-    return out
 
 
 def _pick_escorts(g, s_small, small_set, s_mask, x, y, rng):
@@ -498,190 +444,3 @@ def verify_hamilton_path_in_set(g: Graph, path: Sequence[int], s: VertexSet,
     for u, v in zip(path, path[1:]):
         if not g.has_edge(u, v):
             raise RuntimeError(f"missing edge ({u}, {v})")
-
-
-@dataclass(frozen=True)
-class ExpanderParams:
-    """Parameters for the two expansion notions we check.
-
-    c governs plain vertex expansion (|N(X)| >= c|X| for small X, plus an
-    edge between every pair of large disjoint sets).  (n0, d, alpha)
-    govern robust expansion: after any adversary deletes at most an
-    alpha-fraction of each tracked vertex's edges, sets of size <= n0
-    must still expand by a factor 2d.
-    """
-
-    c: float
-    n0: int = 4
-    d: int = 3
-    alpha: float = 0.5
-
-    def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("c must be positive")
-        if not 3 <= self.d < self.n0:
-            raise ValueError("need 3 <= d < n0")
-        if not 0 <= self.alpha < 1:
-            raise ValueError("need 0 <= alpha < 1")
-
-
-@dataclass(frozen=True)
-class CheckOutcome:
-    name: str
-    verdict: str          # "holds" | "violated" | "no_counterexample_found"
-    mode: str             # "exact" | "heuristic-exact" | "sampled"
-    witness: dict | None = None
-
-
-@dataclass(frozen=True)
-class ExpanderReport:
-    params: ExpanderParams
-    small_set_expansion: CheckOutcome
-    large_pair_edge: CheckOutcome
-    robust_expansion: CheckOutcome
-
-    @property
-    def all_hold(self) -> bool:
-        return all(o.verdict == "holds" for o in
-                   (self.small_set_expansion, self.large_pair_edge, self.robust_expansion))
-
-
-def expander_check(
-    g: Graph,
-    params: ExpanderParams,
-    mode: str = "exact",
-    seed: int = 0,
-    samples: int = 2_000,
-) -> ExpanderReport:
-    """Check vertex expansion and robust expansion properties.
-
-    exact mode (n <= 20): enumerates every X below the size threshold for
-    plain expansion, every X at the threshold size for the edge-between-
-    large-sets condition (monotone, so that suffices), and every X up to
-    n0 for robust expansion against a greedy deletion adversary that
-    disconnects cheap external neighbors first.  The adversary is a
-    heuristic, so that check is labeled "heuristic-exact": a violation
-    is certified, a pass is best-effort.
-
-    sample mode: randomized refutation attempts only.  A found violation
-    is re-verified and certified; absence of violations is reported as
-    "no_counterexample_found", never as a certified pass.
-    """
-    n = g.n
-    if mode not in ("exact", "sample"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" and n > 20:
-        raise ValueError("exact mode is limited to n <= 20")
-    rng = random.Random(seed)
-    thr = n / (2 * params.c)
-
-    def neigh_mask(x_mask: int) -> int:
-        out = 0
-        for v in iter_bits(x_mask):
-            out |= g.adj_bits(v)
-        return out & ~x_mask
-
-    # --- plain expansion on small sets ---
-    e1_witness = None
-    if mode == "exact":
-        max_size = math.ceil(thr) - 1 if thr == int(thr) else math.floor(thr)
-        for size in range(1, max(0, max_size) + 1):
-            for combo in itertools.combinations(range(n), size):
-                x_mask = _mask_of(combo)
-                if neigh_mask(x_mask).bit_count() < params.c * size:
-                    e1_witness = {"X": list(combo),
-                                  "neighborhood": sorted(iter_bits(neigh_mask(x_mask)))}
-                    break
-            if e1_witness:
-                break
-        e1 = CheckOutcome("small_set_expansion",
-                          "violated" if e1_witness else "holds", "exact", e1_witness)
-    else:
-        for _ in range(samples):
-            size = rng.randrange(1, max(2, math.floor(thr) + 1)) if thr > 1 else 1
-            if size >= n or size >= thr:
-                continue
-            combo = rng.sample(range(n), size)
-            x_mask = _mask_of(combo)
-            if neigh_mask(x_mask).bit_count() < params.c * size:
-                e1_witness = {"X": sorted(combo)}
-                break
-        e1 = CheckOutcome("small_set_expansion",
-                          "violated" if e1_witness else "no_counterexample_found",
-                          "sampled", e1_witness)
-
-    # --- an edge between every pair of large disjoint sets ---
-    s = math.ceil(thr)
-    e2_witness = None
-    if s < 1:
-        s = 1
-    if mode == "exact":
-        if s <= n:
-            for combo in itertools.combinations(range(n), s):
-                x_mask = _mask_of(combo)
-                rest = ((1 << n) - 1) & ~x_mask & ~neigh_mask(x_mask)
-                if rest.bit_count() >= s:
-                    ys = list(iter_bits(rest))[:s]
-                    e2_witness = {"X": list(combo), "Y": ys}
-                    break
-        e2 = CheckOutcome("large_pair_edge",
-                          "violated" if e2_witness else "holds", "exact", e2_witness)
-    else:
-        if s <= n:
-            for _ in range(samples):
-                combo = rng.sample(range(n), s)
-                x_mask = _mask_of(combo)
-                rest = ((1 << n) - 1) & ~x_mask & ~neigh_mask(x_mask)
-                if rest.bit_count() >= s:
-                    e2_witness = {"X": sorted(combo),
-                                  "Y": list(iter_bits(rest))[:s]}
-                    break
-        e2 = CheckOutcome("large_pair_edge",
-                          "violated" if e2_witness else "no_counterexample_found",
-                          "sampled", e2_witness)
-
-    # --- robust expansion against greedy per-vertex deletions ---
-    def robust_violation(combo) -> dict | None:
-        x_list = list(combo)
-        x_mask = _mask_of(x_list)
-        budgets = {v: math.floor(params.alpha * g.degree(v)) for v in x_list}
-        ext = list(iter_bits(neigh_mask(x_mask)))
-        ext.sort(key=lambda w: ((g.adj_bits(w) & x_mask).bit_count(), w))
-        surviving = set(ext)
-        deleted = []
-        for w in ext:
-            touch = [v for v in x_list if g.adj_bits(w) >> v & 1]
-            if all(budgets[v] >= 1 for v in touch):
-                for v in touch:
-                    budgets[v] -= 1
-                    deleted.append((min(v, w), max(v, w)))
-                surviving.discard(w)
-        if len(surviving) < 2 * params.d * len(x_list):
-            return {"X": x_list, "deleted_edges": deleted,
-                    "surviving_neighborhood": sorted(surviving)}
-        return None
-
-    ra_witness = None
-    if mode == "exact":
-        cap = min(params.n0, n)
-        for size in range(1, cap + 1):
-            for combo in itertools.combinations(range(n), size):
-                ra_witness = robust_violation(combo)
-                if ra_witness:
-                    break
-            if ra_witness:
-                break
-        ra = CheckOutcome("robust_expansion",
-                          "violated" if ra_witness else "holds",
-                          "heuristic-exact", ra_witness)
-    else:
-        for _ in range(samples):
-            size = rng.randrange(1, min(params.n0, n) + 1)
-            ra_witness = robust_violation(rng.sample(range(n), size))
-            if ra_witness:
-                break
-        ra = CheckOutcome("robust_expansion",
-                          "violated" if ra_witness else "no_counterexample_found",
-                          "sampled", ra_witness)
-
-    return ExpanderReport(params, e1, e2, ra)

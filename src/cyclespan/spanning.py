@@ -32,7 +32,7 @@ from .gf2 import (
     intersection_parity,
     orthocomplement_basis,
 )
-from .graph import Graph, is_bipartite, iter_bits, to_graph6
+from .graph import Graph, edge_subgraph_adj, is_bipartite, iter_bits, to_graph6
 from .seeds import derive_seed
 
 
@@ -399,15 +399,14 @@ def _odd_hamilton_cycle(g: Graph, r_bits: int) -> tuple[bool, list[int] | None]:
     in order of size, one vectorized step per (size, last vertex).  The
     tables take 2 * itemsize bytes per set, under one byte per state.
     The cycle comes back as a vertex order starting at 0, or None when
-    every Hamilton cycle meets R evenly.
+    every Hamilton cycle meets R evenly.  A graph on fewer than 3
+    vertices has no Hamilton cycle.
     """
     n = g.n
-    odd_nbrs = [0] * n   # neighbors joined by an edge of R
-    even_nbrs = [0] * n  # neighbors joined by an edge outside R
-    for eid, (u, v) in enumerate(g.edges):
-        nbrs = odd_nbrs if r_bits >> eid & 1 else even_nbrs
-        nbrs[u] |= 1 << v
-        nbrs[v] |= 1 << u
+    if n < 3:
+        return False, None
+    odd_nbrs = edge_subgraph_adj(g, r_bits)  # neighbors joined by an edge of R
+    even_nbrs = [g.adj_bits(v) & ~odd_nbrs[v] for v in range(n)]
     size = 1 << (n - 1)
     dtype = np.min_scalar_type((1 << n) - 1)
     tables = (np.zeros(size, dtype), np.zeros(size, dtype))

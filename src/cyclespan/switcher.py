@@ -18,7 +18,8 @@ from collections import deque
 from dataclasses import dataclass
 
 from .gf2 import EdgeVector, intersection_parity
-from .graph import Graph, VertexSet, iter_bits, small_vertices
+from .graph import Graph, VertexSet, bfs_path, edge_subgraph_adj, iter_bits, \
+    mask_of, small_vertices
 
 
 def switcher_cycle_cap(n: int) -> float | None:
@@ -133,11 +134,7 @@ def find_switcher_cycle(
     max_cycle = n if cap is None else min(n, math.floor(cap))
     if max_cycle < 4:
         return None
-    r_adj = [0] * n
-    for eid in iter_bits(r.bits):
-        u, v = g.pair_of(eid)
-        r_adj[u] |= 1 << v
-        r_adj[v] |= 1 << u
+    r_adj = edge_subgraph_adj(g, r.bits)
     allowed_all = ((1 << n) - 1) & ~banned
     spent = 0
     for eid in range(g.m):
@@ -180,9 +177,7 @@ def verify_switcher_cycle(g: Graph, r: EdgeVector, cycle: tuple[int, ...],
 
 
 def _small_adjacency_ok(g: Graph, small: VertexSet, cycle: tuple[int, ...]) -> bool:
-    cyc_mask = 0
-    for v in cycle:
-        cyc_mask |= 1 << v
+    cyc_mask = mask_of(cycle)
     for u in small:
         onto = (g.adj_bits(u) & cyc_mask).bit_count()
         limit = 2 if cyc_mask >> u & 1 else 1
@@ -293,9 +288,7 @@ def disjoint_pair_paths(
         return []
     rng = random.Random(seed)
     t = len(pairs)
-    end_mask = 0
-    for v in ends:
-        end_mask |= 1 << v
+    end_mask = mask_of(ends)
     for _ in range(retries):
         order = list(range(t))
         rng.shuffle(order)
@@ -306,7 +299,7 @@ def disjoint_pair_paths(
             a, b = pairs[i]
             # Block other pairs' endpoints and everything already used.
             blocked = (used | end_mask) & ~(1 << a) & ~(1 << b)
-            path = _bfs_masked(g, a, b, blocked, rng)
+            path = bfs_path(g, a, b, VertexSet(g.n, blocked), rng)
             if path is None:
                 ok = False
                 break
@@ -317,29 +310,6 @@ def disjoint_pair_paths(
             out = [routed[i] for i in range(t)]
             _verify_disjoint(g, pairs, out, banned)
             return out
-    return None
-
-
-def _bfs_masked(g: Graph, a: int, b: int, blocked: int, rng: random.Random) -> list[int] | None:
-    if a == b:
-        return [a]
-    parent = {a: -1}
-    queue = deque([a])
-    while queue:
-        u = queue.popleft()
-        nbrs = list(g.neighbors(u))
-        rng.shuffle(nbrs)
-        for w in nbrs:
-            if w in parent or blocked >> w & 1:
-                continue
-            parent[w] = u
-            if w == b:
-                path = [b]
-                while path[-1] != a:
-                    path.append(parent[path[-1]])
-                path.reverse()
-                return path
-            queue.append(w)
     return None
 
 

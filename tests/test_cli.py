@@ -1,6 +1,13 @@
+import functools
+import hashlib
 import json
 
+import pytest
+
+from cyclespan import cli
 from cyclespan.cli import main
+from cyclespan.experiments import ModelParams, property_report, sample_gnp, \
+    synthetic_witness
 from cyclespan.graph import Graph, from_graph6, to_graph6
 
 
@@ -93,6 +100,29 @@ def test_props_command(capsys):
     main(["props", "--graph6", k7, "--samples", "50"])
     doc = json.loads(capsys.readouterr().out)
     assert "max_degree_bound" in doc
+
+
+# sha256 prefixes of the `props` JSON; n <= 14 runs the exact checks,
+# larger n the sampled ones.
+_PROPS_GOLDEN = {
+    (9, 1): "8aef2b96c558aec8",
+    (11, 2): "0118dc85adb23c87",
+    (13, 3): "415e7c1a379a1c23",
+    (14, 4): "680685f4fc9dfb30",
+    (51, 5): "4433072b7d3cc4ee",
+    (101, 6): "8705a074a14d7147",
+}
+
+
+@pytest.mark.parametrize("n, seed", sorted(_PROPS_GOLDEN))
+def test_props_report_golden(n, seed, capsys, monkeypatch):
+    g = sample_gnp(ModelParams(n=n, f=3, seed=seed, allow_even_n=True))
+    wit = synthetic_witness(g, seed)
+    monkeypatch.setattr(cli, "property_report",
+                        functools.partial(property_report, r=wit.vector))
+    main(["props", "--graph6", to_graph6(g), "--seed", str(seed), "--samples", "500"])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == _PROPS_GOLDEN[(n, seed)]
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -7,7 +8,6 @@ from cyclespan.experiments import (
     CellSpec,
     ExperimentConfig,
     ModelParams,
-    chernoff_tail,
     half_degree_holds,
     property_report,
     read_trials_csv,
@@ -19,9 +19,9 @@ from cyclespan.experiments import (
 )
 from cyclespan.gf2 import EdgeVector, intersection_parity
 from cyclespan.graph import Graph, VertexSet, from_edge_list
-from cyclespan.spanning import WitnessR, is_bipartition_form
+from cyclespan.spanning import WitnessR, enumerate_hamilton_cycles, is_bipartition_form
 
-from util import petersen
+from util import petersen, random_graph
 
 _real_run_trial = experiments._run_trial
 
@@ -92,31 +92,6 @@ class TestSampleGnp:
         mean = sum(counts) / trials
         sd_of_mean = math.sqrt(k * p * (1 - p) / trials)
         assert abs(mean - k * p) <= 3 * sd_of_mean
-
-
-class TestChernoff:
-    def test_lower_tail_matches_closed_form(self):
-        mean = math.log(101)
-        coeff = 0.1 * math.log(0.1) - 0.1 + 1
-        assert coeff == pytest.approx(0.6697, abs=1e-4)
-        assert chernoff_tail("lower", mean, 0.1) == pytest.approx(math.exp(-coeff * mean))
-
-    def test_upper_tail(self):
-        # ratio 2, mean 10: exponent coefficient 2 ln 2 - 1.
-        want = math.exp(-(2 * math.log(2) - 1) * 10)
-        assert chernoff_tail("upper", 10, 2) == pytest.approx(want)
-        assert chernoff_tail("upper", 10, 2) == pytest.approx(math.exp(-3.8629), rel=1e-4)
-
-    def test_ratio_near_one_gives_bound_near_one(self):
-        assert chernoff_tail("lower", 50, 0.999) == pytest.approx(1.0, abs=1e-2)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            chernoff_tail("lower", 5, 1.2)
-        with pytest.raises(ValueError):
-            chernoff_tail("upper", 5, 0.5)
-        with pytest.raises(ValueError):
-            chernoff_tail("middle", 5, 0.5)
 
 
 class TestPropertyReport:
@@ -234,10 +209,11 @@ class TestRefutationPipeline:
             pytest.skip("no usable synthetic witness")
         res = refutation_pipeline(g, wit, seed=1)
         assert not res.ok
+        assert res.failed_stage == "S3" and res.detail == "no Hamilton cycle exists"
 
     def test_cut_witness_has_no_odd_cycle(self):
         # r = E(A, B): every Hamilton cycle crosses a cut evenly, so the
-        # enumeration fallback scans everything and comes up empty.
+        # parity DP fallback proves that no cycle meets r oddly.
         g = Graph.complete(7)
         cut = EdgeVector.from_pairs(
             g, [(u, v) for u in range(3) for v in range(3, 7)])
@@ -245,14 +221,40 @@ class TestRefutationPipeline:
         assert not res.ok
         assert res.detail == "no odd-overlap Hamilton cycle exists"
 
-    def test_fallback_budget_exhaustion_tagged(self):
-        g = Graph.complete(8)
+    @pytest.mark.parametrize("n", [12, 16])
+    def test_fallback_proves_half_cut_unrefutable(self, n):
+        # Far more Hamilton cycles than an enumeration could scan.
+        g = Graph.complete(n)
+        half = n // 2
         cut = EdgeVector.from_pairs(
-            g, [(u, v) for u in range(4) for v in range(4, 8)])
-        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0,
-                                  retries=0, fallback_budget=40)
+            g, [(u, v) for u in range(half) for v in range(half, n)])
+        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0, retries=0)
         assert not res.ok
-        assert res.detail == "enumeration fallback budget exhausted"
+        assert res.failed_stage == "S3"
+        assert res.detail == "no odd-overlap Hamilton cycle exists"
+
+    def test_fallback_agrees_with_enumeration(self):
+        rng = random.Random(17)
+        found = 0
+        for _ in range(40):
+            n = rng.randint(3, 9)
+            g = random_graph(rng, n, rng.uniform(0.4, 0.9))
+            r = EdgeVector(rng.getrandbits(g.m) if g.m else 0, g.m)
+            if r.bits == (1 << g.m) - 1:
+                continue
+            cycles = list(enumerate_hamilton_cycles(g))
+            odd = any(intersection_parity(hc.vector, r) for hc in cycles)
+            res = refutation_pipeline(g, WitnessR.unverified(r), seed=0, retries=0)
+            assert res.ok == odd
+            if res.ok:
+                found += 1
+                assert res.via == "parity_dp"
+                assert intersection_parity(res.cycle.vector, r) == 1
+                assert res.cycle in cycles
+            else:
+                assert res.detail == ("no odd-overlap Hamilton cycle exists" if cycles
+                                      else "no Hamilton cycle exists")
+        assert found >= 5
 
     def test_threshold_instance_verified(self):
         g = sample_gnp(ModelParams(n=101, f=3.0, seed=2024))
@@ -305,7 +307,7 @@ class TestRunExperiment:
             run_experiment(self._config(workers), out_path=str(out))
         rows = read_trials_csv(str(out))
         want = [_real_run_trial(args) for args in [
-            (0, t, 11, threshold_p(11, 2.0), 99, 10, 5_000, False, False, False)
+            (0, t, 11, threshold_p(11, 2.0), 99, 10, 5_000, False, False)
             for t in range(3)]]
         assert [(r.seed, r.verdict, r.rank) for r in rows] == \
             [(r.seed, r.verdict, r.rank) for r in want]

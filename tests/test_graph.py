@@ -16,7 +16,6 @@ from cyclespan.graph import (
     iter_bits,
     restrict,
     small_vertices,
-    to_dot,
     to_edge_list_text,
     to_graph6,
 )
@@ -261,12 +260,6 @@ def test_edge_list_text_errors():
         from_edge_list_text("3 2\n0 1\n")
     with pytest.raises(ValueError):
         from_edge_list_text("")
-
-
-def test_dot_export_mentions_edges():
-    g = from_edge_list(3, [(0, 1)])
-    dot = to_dot(g)
-    assert "0 -- 1;" in dot and "2;" in dot
 
 
 def test_is_bipartite():

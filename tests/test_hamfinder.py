@@ -1,23 +1,21 @@
+import itertools
 import random
 
 import pytest
 
+from cyclespan import hamfinder
 from cyclespan.experiments import ModelParams, sample_gnp
-from cyclespan.gf2 import EdgeVector
 from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.hamfinder import (
-    ExpanderParams,
     SplitRequest,
     StepCounter,
-    expander_check,
     hamilton_path_protected,
     lll_split,
     rotate_cycle,
     rotation_extension_path,
-    short_path_in_r,
 )
 
-from util import brute_shortest_path, mask_rotate_cycle, random_graph
+from util import mask_rotate_cycle, random_graph
 
 
 class TestRotationExtension:
@@ -131,6 +129,32 @@ class TestRotateCycle:
         assert checked > 1_000
 
 
+def _count_samples(monkeypatch) -> list:
+    """Record every `sample` call of the generators lll_split creates."""
+    calls = []
+
+    class Counting(random.Random):
+        def sample(self, *args, **kwargs):
+            calls.append(args)
+            return super().sample(*args, **kwargs)
+
+    monkeypatch.setattr(hamfinder.random, "Random", Counting)
+    return calls
+
+
+def _floors_hold(g, y_mask: int, a_mask: int, a: int) -> bool:
+    size = y_mask.bit_count()
+    b_mask = y_mask & ~a_mask
+    for v in range(g.n):
+        adj = g.adj_bits(v)
+        deg_y = (adj & y_mask).bit_count()
+        if 3 * size * (adj & a_mask).bit_count() < a * deg_y:
+            return False
+        if 3 * size * (adj & b_mask).bit_count() < (size - a) * deg_y:
+            return False
+    return True
+
+
 class TestLllSplit:
     def test_k6_balanced(self):
         g = Graph.complete(6)
@@ -187,58 +211,44 @@ class TestLllSplit:
                 assert 3 * size * (g.adj_bits(v) & sa.mask).bit_count() >= a * deg_y
                 assert 3 * size * (g.adj_bits(v) & sb.mask).bit_count() >= (size - a) * deg_y
 
+    def test_infeasible_request_draws_nothing(self, monkeypatch):
+        calls = _count_samples(monkeypatch)
+        g = from_edge_list(4, [(0, 1), (2, 3)])
+        y = VertexSet.of(4, [1, 2, 3])
+        assert lll_split(g, SplitRequest(y, 1, 2), retries=50, seed=0) is None
+        assert calls == []
+        k6 = Graph.complete(6)
+        assert lll_split(k6, SplitRequest(VertexSet.full(6), 3, 3), seed=1) is not None
+        assert calls
+
+    def test_up_front_none_only_when_no_split_exists(self, monkeypatch):
+        rng = random.Random(12)
+        calls = _count_samples(monkeypatch)
+        fired = 0
+        for _ in range(80):
+            n = rng.randint(3, 10)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.8))
+            members = [v for v in range(n) if rng.random() < 0.7]
+            if len(members) < 2:
+                continue
+            y = VertexSet.of(n, members)
+            a = rng.randint(1, len(members) - 1)
+            calls.clear()
+            out = lll_split(g, SplitRequest(y, a, len(members) - a), retries=3, seed=0)
+            if calls:
+                continue
+            fired += 1
+            assert out is None
+            for chosen in itertools.combinations(members, a):
+                a_mask = VertexSet.of(n, chosen).mask
+                assert not _floors_hold(g, y.mask, a_mask, a)
+        assert fired >= 5
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             SplitRequest(VertexSet.full(4), 1, 2)
         with pytest.raises(ValueError):
             SplitRequest(VertexSet.full(4), 0, 4)
-
-
-class TestShortPathInR:
-    def test_c6_opposite(self):
-        g = Graph.cycle(6)
-        path = short_path_in_r(g, EdgeVector.full(g.m), 0, 3)
-        assert path is not None and len(path) - 1 == 3
-
-    def test_avoid_separates(self):
-        g = Graph.cycle(6)
-        avoid = VertexSet.of(6, [1, 5])
-        assert short_path_in_r(g, EdgeVector.full(g.m), 0, 3, avoid) is None
-
-    def test_avoided_endpoint_rejected(self):
-        g = Graph.cycle(6)
-        with pytest.raises(ValueError):
-            short_path_in_r(g, EdgeVector.full(g.m), 0, 3, VertexSet.of(6, [0]))
-
-    def test_k5_minus_matching_short(self):
-        g = Graph.complete(5)
-        r = EdgeVector.from_edge_ids(
-            g.m, [e for e in range(g.m) if e not in (g.edge_id(0, 1), g.edge_id(2, 3))])
-        for x in range(5):
-            for y in range(5):
-                if x == y:
-                    continue
-                path = short_path_in_r(g, r, x, y)
-                assert path is not None and len(path) - 1 <= 2
-
-    def test_matches_restricted_distance_oracle(self):
-        rng = random.Random(6)
-        for _ in range(30):
-            n = rng.randint(2, 8)
-            g = random_graph(rng, n, 0.5)
-            bits = rng.getrandbits(g.m) if g.m else 0
-            r = EdgeVector(bits, g.m)
-            x, y = rng.sample(range(n), 2) if n > 1 else (0, 0)
-            avoid_ids = {v for v in range(n) if v not in (x, y) and rng.random() < 0.25}
-            sub_pairs = [g.pair_of(e) for e in r.support()
-                         if not (set(g.pair_of(e)) & avoid_ids)]
-            sub = from_edge_list(n, sub_pairs)
-            want = brute_shortest_path(sub, x, y, set())
-            got = short_path_in_r(g, r, x, y, VertexSet.of(n, avoid_ids))
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None and len(got) - 1 == want
 
 
 class TestHamiltonPathProtected:
@@ -288,68 +298,3 @@ class TestHamiltonPathProtected:
         s = VertexSet.of(9, [0, 2, 4, 6, 8])
         res = hamilton_path_protected(g, s, 0, 8, seed=1)
         assert res.ok and sorted(res.path) == [0, 2, 4, 6, 8]
-
-
-class TestExpanderCheck:
-    def test_params_validation(self):
-        with pytest.raises(ValueError):
-            ExpanderParams(c=0)
-        with pytest.raises(ValueError):
-            ExpanderParams(c=1, n0=3, d=3)
-        with pytest.raises(ValueError):
-            ExpanderParams(c=1, alpha=1.0)
-
-    def test_k10_expands(self):
-        rep = expander_check(Graph.complete(10), ExpanderParams(c=2.0), mode="exact")
-        assert rep.small_set_expansion.verdict == "holds"
-        assert rep.large_pair_edge.verdict == "holds"
-
-    def test_disjoint_cliques_fail_large_pair(self):
-        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        pairs += [(i, j) for i in range(5, 10) for j in range(i + 1, 10)]
-        g = from_edge_list(10, pairs)
-        rep = expander_check(g, ExpanderParams(c=1.0), mode="exact")
-        assert rep.large_pair_edge.verdict == "violated"
-        x = rep.large_pair_edge.witness["X"]
-        y = rep.large_pair_edge.witness["Y"]
-        assert not any(g.has_edge(u, v) for u in x for v in y)
-
-    def test_path_graph_fails_small_expansion(self):
-        rep = expander_check(Graph.path(10), ExpanderParams(c=2.0), mode="exact")
-        assert rep.small_set_expansion.verdict == "violated"
-        x = rep.small_set_expansion.witness["X"]
-        ext = set()
-        g = Graph.path(10)
-        for v in x:
-            ext.update(g.neighbors(v))
-        ext -= set(x)
-        assert len(ext) < 2.0 * len(x)
-
-    def test_robust_expansion_flags_weak_graph(self):
-        rep = expander_check(Graph.cycle(12), ExpanderParams(c=1.0, n0=4, d=3),
-                             mode="exact")
-        # A cycle cannot 6-expand even singletons.
-        assert rep.robust_expansion.verdict == "violated"
-        assert rep.robust_expansion.mode == "heuristic-exact"
-
-    def test_sample_mode_never_certifies(self):
-        rep = expander_check(Graph.complete(12), ExpanderParams(c=1.5), mode="sample",
-                             seed=3, samples=200)
-        assert rep.small_set_expansion.verdict in ("no_counterexample_found", "violated")
-        assert rep.small_set_expansion.mode == "sampled"
-
-    def test_sample_mode_finds_planted_violation(self):
-        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
-        pairs += [(i, j) for i in range(5, 10) for j in range(i + 1, 10)]
-        g = from_edge_list(10, pairs)
-        rep = expander_check(g, ExpanderParams(c=1.0), mode="sample", seed=1,
-                             samples=500)
-        assert rep.large_pair_edge.verdict == "violated"
-
-    def test_exact_size_limit(self):
-        with pytest.raises(ValueError):
-            expander_check(Graph.complete(21), ExpanderParams(c=1.0), mode="exact")
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            expander_check(Graph.complete(4), ExpanderParams(c=1.0), mode="quick")
