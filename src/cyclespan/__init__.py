@@ -1,13 +1,17 @@
 """cyclespan: do a graph's Hamilton cycles span its GF(2) cycle space?
 
-Library layout:
+Library layout, each module importing only from those above it:
 
+- seeds: derived sub-seeds
 - graph: immutable graphs, canonical edge ids, graph6 and edge-list I/O
 - gf2: edge vectors, incremental elimination, cycle and cut spaces
+- hamfinder: rotation-extension search, vertex-disjoint pair paths,
+  splits, sheltered Hamilton paths
 - spanning: Hamilton cycle enumeration, spanning verdicts, witnesses
 - switcher: parity switcher gadgets and their two-parity traversals
-- hamfinder: rotation-extension search, splits, sheltered Hamilton paths
-- experiments: G(n, p) sampling, the refutation pipeline, campaigns
+- refute: synthetic witnesses, switcher construction, the refutation pipeline
+- experiments: G(n, p) sampling, property report, campaigns
+- cli: the command line
 """
 
 from .gf2 import EdgeVector, Gf2Basis, cut_space_stars, cycle_space_basis, \
@@ -26,20 +30,19 @@ from .spanning import (
     is_bipartition_form,
     normalize_witness,
 )
-from .switcher import ParitySwitcher, disjoint_pair_paths, find_switcher_cycle, \
-    hamilton_paths_of_switcher
-from .hamfinder import SplitRequest, hamilton_path_protected, lll_split, \
-    rotation_extension_path
+from .switcher import ParitySwitcher, find_switcher_cycle, hamilton_paths_of_switcher
+from .hamfinder import SplitRequest, disjoint_pair_paths, hamilton_path_protected, \
+    lll_split, rotation_extension_path
+from .refute import RefutationResult, build_switcher, refutation_pipeline, \
+    synthetic_witness
 from .experiments import (
     CellSpec,
     ExperimentConfig,
     ModelParams,
     TrialRecord,
     property_report,
-    refutation_pipeline,
     run_experiment,
     sample_gnp,
-    synthetic_witness,
     threshold_p,
 )
 

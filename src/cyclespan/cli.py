@@ -17,13 +17,12 @@ from .experiments import (
     ExperimentConfig,
     ModelParams,
     property_report,
-    refutation_pipeline,
     run_experiment,
     sample_gnp,
-    synthetic_witness,
 )
 from .gf2 import EdgeVector
 from .graph import Graph, from_edge_list_text, from_graph6, to_graph6
+from .refute import build_switcher, refutation_pipeline, synthetic_witness
 from .spanning import (
     VerdictKind,
     WitnessR,
@@ -33,7 +32,6 @@ from .spanning import (
     witness_certificate,
 )
 from .switcher import switcher_certificate
-from .experiments import build_switcher
 
 
 def _load_graph(args) -> Graph:

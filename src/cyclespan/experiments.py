@@ -4,8 +4,8 @@ The model is G(n, p) with p = (ln n + 2 ln ln n + f)/n: right where the
 minimum degree reaches 3 and Hamilton cycles start spanning the cycle
 space (for odd n).  This module samples it reproducibly, checks the
 edge-distribution properties that drive the constructive arguments,
-runs the full parity-switcher refutation pipeline, and batches seeded
-Monte Carlo campaigns into CSV.
+and batches seeded Monte Carlo campaigns, with the spanning check and
+optionally the refutation pipeline per trial, into CSV.
 """
 
 from __future__ import annotations
@@ -22,26 +22,19 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import spanning
-from .gf2 import EdgeVector, intersection_parity
+from .gf2 import EdgeVector
 from .graph import Graph, VertexSet, bfs_path, edge_subgraph_adj, from_edge_list, \
-    iter_bits, mask_of, restrict, small_vertices
-from .hamfinder import SplitRequest, hamilton_path_protected, lll_split
+    iter_bits, mask_of, small_vertices
+# build_switcher is bound here too: the benchmark's tracer looks it up as
+# experiments.build_switcher.
+from .refute import build_switcher, refutation_pipeline, synthetic_witness  # noqa: F401
 from .seeds import derive_seed
-from .spanning import (
-    HamiltonCycle,
-    WitnessR,
-    confirm_spanning_sampled,
-    cycle_space_dim,
-    is_bipartition_form,
-    normalize_witness,
-)
-from .switcher import (
-    ParitySwitcher,
-    disjoint_pair_paths,
-    find_switcher_cycle,
-    hamilton_paths_of_switcher,
-)
+from .spanning import confirm_spanning_sampled, cycle_space_dim
+
+# Margin of the half-degree majority: deg(u, B) >= (1 + delta) deg(u)/2.
+_HALF_DEGREE_DELTA = 0.1
+# property_report counts set pairs exhaustively up to this n, by sampling above.
+_EXACT_LIMIT = 14
 
 
 def threshold_p(n: int, f: float) -> float:
@@ -124,14 +117,13 @@ class PropertyReport:
         return all(c.passed for c in self.checks.values())
 
 
-def half_degree_holds(g: Graph, a_set: VertexSet, b_set: VertexSet,
-                      delta: float = 0.1) -> tuple[bool, int | None]:
+def half_degree_holds(g: Graph, a_set: VertexSet, b_set: VertexSet) -> tuple[bool, int | None]:
     """Does some u in A have deg(u, B) >= (1+delta) deg(u)/2?
 
     Returns (holds, witness_vertex).
     """
     for u in a_set:
-        if 2 * (g.adj_bits(u) & b_set.mask).bit_count() >= (1 + delta) * g.degree(u):
+        if 2 * (g.adj_bits(u) & b_set.mask).bit_count() >= (1 + _HALF_DEGREE_DELTA) * g.degree(u):
             return True, u
     return False, None
 
@@ -140,16 +132,14 @@ def property_report(
     g: Graph,
     r: EdgeVector | None = None,
     p: float | None = None,
-    delta: float = 0.1,
     small: VertexSet | None = None,
     seed: int = 0,
     samples: int = 10_000,
-    exact_limit: int = 14,
 ) -> PropertyReport:
     """Edge-distribution health report for a (near-)threshold sample.
 
     Degree and low-degree-closure checks are exact at every size.  The
-    set-quantified edge counts are exact for n <= exact_limit and
+    set-quantified edge counts are exact for n <= _EXACT_LIMIT and
     randomized refutation sweeps above (`samples` sampled set pairs per
     property); each entry records which mode produced it, and every
     reported violation carries the concrete sets so it can be recounted.
@@ -164,7 +154,7 @@ def property_report(
     rng = random.Random(seed)
     ln_n = math.log(n)
     lln = math.log(ln_n)
-    exact = n <= exact_limit
+    exact = n <= _EXACT_LIMIT
     checks: dict[str, PropertyCheck] = {}
 
     # Maximum degree.
@@ -202,8 +192,7 @@ def property_report(
     checks["dense_pair_band"] = _check_dense_band(
         g, floor_size, p_eff, exact, rng, samples)
 
-    checks["half_degree_majority"] = _check_half_degree(
-        g, delta, ln_n, lln, rng, samples)
+    checks["half_degree_majority"] = _check_half_degree(g, ln_n, lln, rng, samples)
 
     if r is not None:
         checks["witness_cross_edges"] = _check_witness_cross(
@@ -370,18 +359,18 @@ def _check_dense_band(g, floor_size, p_eff, exact, rng, samples):
     return _first_violation(name, exact, detail, pairs, violation)
 
 
-def _check_half_degree(g, delta, ln_n, lln, rng, samples):
+def _check_half_degree(g, ln_n, lln, rng, samples):
     name = "half_degree_majority"
     n = g.n
     a_req = math.ceil(n * lln * lln / math.sqrt(ln_n)) if lln > 0 else n + 1
-    b_req = math.floor((0.5 + delta) * n)
-    detail = {"delta": delta, "a_size": a_req, "b_size": b_req}
+    b_req = math.floor((0.5 + _HALF_DEGREE_DELTA) * n)
+    detail = {"delta": _HALF_DEGREE_DELTA, "a_size": a_req, "b_size": b_req}
     if a_req < 1 or b_req < 1 or a_req + b_req > n:
         # The quantifier range is empty at this n; nothing to refute.
         return PropertyCheck(name, True, "vacuous", detail)
 
     def violation(mask_a, mask_b):
-        ok, _w = half_degree_holds(g, VertexSet(n, mask_a), VertexSet(n, mask_b), delta)
+        ok, _w = half_degree_holds(g, VertexSet(n, mask_a), VertexSet(n, mask_b))
         return None if ok else {}
 
     pairs = _set_pairs(n, False, rng, samples, (), lambda r: (a_req, b_req))
@@ -403,222 +392,6 @@ def _check_witness_cross(g, r, exact, rng, samples):
     pairs = _set_pairs(n, exact, rng, samples, [(size, [size])],
                        lambda _r: (size, size), unordered=True)
     return _first_violation(name, exact, detail, pairs, violation)
-
-
-# ---------------------------------------------------------------------------
-# synthetic witnesses and the refutation pipeline
-# ---------------------------------------------------------------------------
-
-def synthetic_witness(g: Graph, seed: int, max_tries: int = 64) -> WitnessR | None:
-    """A normalized random edge subset usable as pipeline input.
-
-    Draws a uniform random edge subset, pushes it to half degree
-    everywhere by hill climbing, and discards it when it is a full edge
-    set, a bipartition cut, or leaves no outside edge.  This is how the
-    switcher machinery gets exercised on graphs where spanning holds and
-    no true witness exists.
-    """
-    for attempt in range(max_tries):
-        rng = random.Random(derive_seed(seed, "synthR", attempt))
-        bits = rng.getrandbits(g.m) if g.m else 0
-        cand = normalize_witness(g, WitnessR.unverified(EdgeVector(bits, g.m)),
-                                 mode="hillclimb")
-        if cand.vector.bits == (1 << g.m) - 1:
-            continue
-        if is_bipartition_form(g, cand.vector):
-            continue
-        return cand
-    return None
-
-
-@dataclass(frozen=True)
-class RefutationResult:
-    """Outcome of the odd-parity Hamilton cycle construction."""
-
-    cycle: HamiltonCycle | None
-    failed_stage: str | None = None  # "S2a" | "S2b" | "S3"
-    detail: str | None = None
-    switcher: ParitySwitcher | None = None
-    outer_parity: int | None = None
-    attempts: int = 0
-    via: str = "none"  # "switcher" | "parity_dp" | "none"
-
-    @property
-    def ok(self) -> bool:
-        return self.cycle is not None
-
-
-def build_switcher(
-    g: Graph,
-    r: WitnessR,
-    seed: int,
-    small: VertexSet | None = None,
-) -> tuple[ParitySwitcher, dict] | tuple[None, dict]:
-    """Find the odd-overlap cycle and link it into a switcher gadget.
-
-    Returns (switcher, meta) on success where meta carries the split
-    sides and escort assignment needed by the closing stage, or
-    (None, meta) with meta["stage"]/meta["detail"] telling what failed.
-    """
-    n = g.n
-    small_set = small if small is not None else small_vertices(g)
-    if r.vector.bits == (1 << g.m) - 1:
-        return None, {"stage": "S2a", "detail": "no non-R edge"}
-    cycle = find_switcher_cycle(g, r.vector, small=small_set)
-    if cycle is None:
-        return None, {"stage": "S2a", "detail": "no qualifying cycle"}
-    two_k = len(cycle)
-    k = two_k // 2
-
-    # Escorts: low-degree cycle vertices delegate to an ordinary neighbor.
-    taken = set(cycle)
-    vp: list[int] = []
-    for v in cycle:
-        if v in small_set:
-            cand = [w for w in g.neighbors(v) if w not in small_set and w not in taken]
-            if not cand:
-                return None, {"stage": "S2b", "detail": f"no escort for {v}"}
-            vp.append(cand[0])
-            taken.add(cand[0])
-        else:
-            vp.append(v)
-
-    u_mask = mask_of(itertools.chain(cycle, vp))
-    y_mask = ((1 << n) - 1) & ~small_set.mask & ~u_mask
-    y_set = VertexSet(n, y_mask)
-    if len(y_set) < 2:
-        return None, {"stage": "S2b", "detail": "too few vertices to split"}
-    halves = lll_split(g, SplitRequest.halves(y_set),
-                       seed=derive_seed(seed, "split"))
-    if halves is None:
-        return None, {"stage": "S2b", "detail": "degree-preserving split failed"}
-    a_half, b_half = halves
-
-    z_mask = small_set.mask
-    for u in small_set:
-        z_mask |= g.adj_bits(u)
-    side_a = (a_half.mask | z_mask) & ~u_mask
-    side_b = (b_half.mask & ~z_mask) | mask_of(vp)
-
-    # Route the connector interiors inside the B side, away from the
-    # cycle edges, the escort hops, and the two closing-stage terminals.
-    drop = [g.edge_id(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    for v, w in zip(cycle, vp):
-        if v != w and g.has_edge(v, w):
-            drop.append(g.edge_id(v, w))
-    keep = VertexSet(n, side_b & ~(1 << vp[0]) & ~(1 << vp[k]))
-    sub = restrict(g, keep, drop)
-    idx = sub.new_vertex
-    try:
-        pairs = [(idx[vp[j]], idx[vp[two_k - j]]) for j in range(1, k)]
-    except KeyError:
-        return None, {"stage": "S2b", "detail": "escort missing from link side"}
-    routed = disjoint_pair_paths(sub.graph, pairs,
-                                 seed=derive_seed(seed, "link"))
-    if routed is None:
-        return None, {"stage": "S2b", "detail": "vertex-disjoint linkage failed"}
-    links = [sub.to_old_path(p) for p in routed]
-
-    paths = []
-    for j, link in enumerate(links, start=1):
-        if link[0] != vp[j]:
-            link = link[::-1]
-        full = list(link)
-        if vp[j] != cycle[j]:
-            full = [cycle[j]] + full
-        if vp[two_k - j] != cycle[two_k - j]:
-            full = full + [cycle[two_k - j]]
-        paths.append(full)
-    try:
-        sw = ParitySwitcher.build(g, cycle, paths, r.vector)
-    except ValueError as exc:
-        return None, {"stage": "S2b", "detail": f"switcher invalid: {exc}"}
-    meta = {
-        "vp": vp,
-        "side_a": side_a,
-        "side_b": side_b,
-        "links": links,
-    }
-    return sw, meta
-
-
-def refutation_pipeline(
-    g: Graph,
-    r: WitnessR,
-    seed: int,
-    retries: int = 5,
-    small: VertexSet | None = None,
-    closing_budget: int = 300_000,
-    enumeration_fallback: bool = True,
-) -> RefutationResult:
-    """Construct a verified Hamilton cycle with odd witness overlap.
-
-    Staged construction, with failures tagged by stage: the switcher
-    cycle ("S2a"), its connector linkage ("S2b"), and the sheltered
-    Hamilton path over everything outside the gadget ("S3").  The final
-    assembly picks the switcher traversal whose parity complements the
-    outer path and concatenates the two.  Every success is re-verified:
-    the output is a Hamilton cycle of g whose overlap with r.vector is
-    odd.  Failures are retried with fresh sub-seeds.  For n <= 16,
-    `enumeration_fallback` then asks the exact decider's parity subset DP,
-    which returns a Hamilton cycle meeting r oddly or proves that none
-    exists.
-    """
-    small_set = small if small is not None else (small_vertices(g) if g.n >= 2 else VertexSet(g.n))
-    last_stage, last_detail = "S2a", "not attempted"
-    if r.vector.bits == (1 << g.m) - 1 and g.m > 0:
-        # Structural validation failure: every edge is a witness edge, so
-        # no switcher seed exists and no fallback applies.
-        return RefutationResult(None, failed_stage="S2a", detail="no non-R edge")
-    for attempt in range(retries):
-        sub_seed = derive_seed(seed, "refute", attempt)
-        sw, meta = build_switcher(g, r, sub_seed, small=small_set)
-        if sw is None:
-            last_stage, last_detail = meta["stage"], meta["detail"]
-            continue
-        vp = meta["vp"]
-        cycle = sw.cycle
-        k = sw.k
-        w_mask = mask_of(itertools.chain(cycle, *meta["links"]))
-        w_mask &= ~(1 << vp[0]) & ~(1 << vp[k])
-        s_set = VertexSet(g.n, ((1 << g.n) - 1) & ~w_mask)
-        try:
-            ppr = hamilton_path_protected(
-                g, s_set, vp[0], vp[k], seed=derive_seed(sub_seed, "close"),
-                small=small_set, closing_budget=closing_budget)
-        except ValueError as exc:
-            last_stage, last_detail = "S3", str(exc)
-            continue
-        if not ppr.ok:
-            last_stage, last_detail = "S3", f"protected path failed at {ppr.failed_stage}"
-            continue
-        outer = list(ppr.path)
-        if vp[0] != cycle[0]:
-            outer = [cycle[0]] + outer
-        if vp[k] != cycle[k]:
-            outer = outer + [cycle[k]]
-        outer_parity = intersection_parity(
-            EdgeVector.from_vertex_path(g, outer), r.vector)
-        even_path, odd_path = hamilton_paths_of_switcher(sw, r.vector)
-        inner = odd_path if outer_parity == 0 else even_path
-        order = outer + inner[-2:0:-1]
-        hc = HamiltonCycle.from_order(g, order)
-        if intersection_parity(hc.vector, r.vector) != 1:
-            raise RuntimeError("assembled cycle has even witness overlap")
-        return RefutationResult(hc, switcher=sw, outer_parity=outer_parity,
-                                attempts=attempt + 1, via="switcher")
-    if enumeration_fallback and g.n <= 16:
-        hamiltonian, order = spanning._odd_hamilton_cycle(g, r.vector.bits)
-        if order is not None:
-            hc = HamiltonCycle.from_order(g, order)
-            if intersection_parity(hc.vector, r.vector) != 1:
-                raise RuntimeError("parity DP cycle has even witness overlap")
-            return RefutationResult(hc, attempts=retries, via="parity_dp")
-        last_stage = "S3"
-        last_detail = ("no odd-overlap Hamilton cycle exists" if hamiltonian
-                       else "no Hamilton cycle exists")
-    return RefutationResult(None, failed_stage=last_stage, detail=last_detail,
-                            attempts=retries)
 
 
 # ---------------------------------------------------------------------------

@@ -74,34 +74,10 @@ class VertexSet:
     def __bool__(self) -> bool:
         return self.mask != 0
 
-    def _check(self, other: "VertexSet") -> None:
-        if self.n != other.n:
-            raise ValueError("vertex sets over different universes")
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask | other.mask)
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & other.mask)
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        self._check(other)
-        return VertexSet(self.n, self.mask & ~other.mask)
-
     def add(self, v: int) -> "VertexSet":
         if not 0 <= v < self.n:
             raise ValueError(f"vertex {v} out of range")
         return VertexSet(self.n, self.mask | 1 << v)
-
-    def discard(self, v: int) -> "VertexSet":
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range")
-        return VertexSet(self.n, self.mask & ~(1 << v))
-
-    def complement(self) -> "VertexSet":
-        return VertexSet(self.n, ((1 << self.n) - 1) ^ self.mask)
 
     def to_list(self) -> list[int]:
         return list(self)
@@ -184,9 +160,6 @@ class Graph:
     def min_degree(self) -> int:
         return min((self.degree(v) for v in range(self.n)), default=0)
 
-    def max_degree(self) -> int:
-        return max((self.degree(v) for v in range(self.n)), default=0)
-
     def components(self) -> list[VertexSet]:
         """Connected components, each as a VertexSet, ordered by smallest member."""
         seen = 0
@@ -208,9 +181,6 @@ class Graph:
 
     def num_components(self) -> int:
         return len(self.components())
-
-    def is_acyclic(self) -> bool:
-        return self.m == self.n - self.num_components()
 
     @classmethod
     def complete(cls, n: int) -> "Graph":

@@ -7,8 +7,9 @@ between prescribed endpoints fast; it never certifies nonexistence.
 `rotate_cycle` turns one Hamilton cycle into another with the same
 rotations.
 
-Around it: degree-preserving random vertex splits and Hamilton paths
-that first shelter low-degree vertices behind escort pairs.
+Around it: vertex-disjoint paths between terminal pairs,
+degree-preserving random vertex splits, and Hamilton paths that first
+shelter low-degree vertices behind escort pairs.
 """
 
 from __future__ import annotations
@@ -18,9 +19,14 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graph import Graph, VertexSet, iter_bits, mask_of, restrict, small_vertices
+from .graph import Graph, VertexSet, bfs_path, iter_bits, mask_of, restrict, \
+    small_vertices
 from .seeds import derive_seed
-from .switcher import disjoint_pair_paths
+
+# Rotation-extension budget of each closing path in hamilton_path_protected.
+_CLOSING_BUDGET = 300_000
+_LINKAGE_RETRIES = 200
+_SPLIT_RETRIES = 2_000
 
 
 def _random_set_bit(rng: random.Random, mask: int) -> int:
@@ -37,10 +43,13 @@ def _nth_set_bit(mask: int, i: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def verify_hamilton_path(g: Graph, path: Sequence[int], x: int, y: int) -> None:
-    """Raise unless path is a Hamilton path of g from x to y."""
-    if len(path) != g.n or len(set(path)) != g.n:
-        raise RuntimeError("not a spanning simple path")
+def verify_hamilton_path(g: Graph, path: Sequence[int], x: int, y: int,
+                         within: VertexSet | None = None) -> None:
+    """Raise unless path is a Hamilton path from x to y of g, or of g[within]."""
+    size = g.n if within is None else len(within)
+    if len(path) != size or len(set(path)) != size or \
+            within is not None and mask_of(path) != within.mask:
+        raise RuntimeError("path does not cover the vertex set exactly once each")
     if path[0] != x or path[-1] != y:
         raise RuntimeError("wrong endpoints")
     for u, v in zip(path, path[1:]):
@@ -211,6 +220,73 @@ def rotate_cycle(
     return path if closed else None
 
 
+def disjoint_pair_paths(
+    g: Graph,
+    pairs: list[tuple[int, int]],
+    seed: int = 0,
+    retries: int = 200,
+) -> list[list[int]] | None:
+    """Pairwise vertex-disjoint paths, the i-th running from a_i to b_i.
+
+    Randomized sequential routing: shuffle the pair order, BFS each pair
+    in the graph minus the vertices of already-routed paths and the
+    endpoints of pending pairs, and restart with a fresh shuffle on
+    failure, up to `retries` shuffles.  Deterministic given the seed.  A
+    None return is a search failure, not a nonexistence certificate.
+    """
+    ends: list[int] = []
+    for a, b in pairs:
+        ends.extend((a, b))
+    if len(set(ends)) != len(ends):
+        raise ValueError("pair endpoints must be pairwise distinct")
+    for v in ends:
+        if not 0 <= v < g.n:
+            raise ValueError(f"endpoint {v} out of range")
+    if not pairs:
+        return []
+    rng = random.Random(seed)
+    t = len(pairs)
+    end_mask = mask_of(ends)
+    for _ in range(retries):
+        order = list(range(t))
+        rng.shuffle(order)
+        used = 0
+        routed: dict[int, list[int]] = {}
+        ok = True
+        for i in order:
+            a, b = pairs[i]
+            # Block other pairs' endpoints and everything already used.
+            blocked = (used | end_mask) & ~(1 << a) & ~(1 << b)
+            path = bfs_path(g, a, b, VertexSet(g.n, blocked), rng)
+            if path is None:
+                ok = False
+                break
+            for v in path:
+                used |= 1 << v
+            routed[i] = path
+        if ok:
+            out = [routed[i] for i in range(t)]
+            _verify_disjoint(g, pairs, out)
+            return out
+    return None
+
+
+def _verify_disjoint(g: Graph, pairs, paths) -> None:
+    seen: set[int] = set()
+    for (a, b), p in zip(pairs, paths):
+        if p[0] != a or p[-1] != b:
+            raise RuntimeError("path endpoints drifted")
+        if len(set(p)) != len(p):
+            raise RuntimeError("path revisits a vertex")
+        for u, v in zip(p, p[1:]):
+            if not g.has_edge(u, v):
+                raise RuntimeError("path uses a non-edge")
+        for v in p:
+            if v in seen:
+                raise RuntimeError("paths overlap")
+        seen |= set(p)
+
+
 @dataclass(frozen=True)
 class SplitRequest:
     """Request to split Y into parts of sizes a and b with degree floors.
@@ -298,9 +374,6 @@ def hamilton_path_protected(
     y: int,
     seed: int = 0,
     small: VertexSet | None = None,
-    closing_budget: int = 200_000,
-    linkage_retries: int = 200,
-    split_retries: int = 2_000,
 ) -> ProtectedPathResult:
     """Hamilton path of g[S] from x to y that shelters low-degree vertices.
 
@@ -336,14 +409,14 @@ def hamilton_path_protected(
         res = restrict(g, sub_keep)
         idx = res.new_vertex
         p = rotation_extension_path(res.graph, idx[fx], idx[fy],
-                                    budget=closing_budget, seed=sd)
+                                    budget=_CLOSING_BUDGET, seed=sd)
         return None if p is None else res.to_old_path(p)
 
     if not s_small:
         p = _closing_path(s_vertices, x, y, derive_seed(seed, "close"))
         if p is None:
             return ProtectedPathResult(None, "closing")
-        verify_hamilton_path_in_set(g, p, s_vertices, x, y)
+        verify_hamilton_path(g, p, x, y, s_vertices)
         return ProtectedPathResult(tuple(p))
 
     rng = random.Random(derive_seed(seed, "escort"))
@@ -358,7 +431,7 @@ def hamilton_path_protected(
     if len(y_rest) < 2:
         return ProtectedPathResult(None, "split")
     halves = lll_split(g, SplitRequest.halves(y_rest),
-                       retries=split_retries, seed=derive_seed(seed, "split"))
+                       retries=_SPLIT_RETRIES, seed=derive_seed(seed, "split"))
     if halves is None:
         return ProtectedPathResult(None, "split")
     s1, s2 = halves
@@ -375,7 +448,7 @@ def hamilton_path_protected(
     except KeyError:
         return ProtectedPathResult(None, "linkage")
     routed = disjoint_pair_paths(res1.graph, pairs1, seed=derive_seed(seed, "link"),
-                                 retries=linkage_retries)
+                                 retries=_LINKAGE_RETRIES)
     if routed is None:
         return ProtectedPathResult(None, "linkage")
     links = [res1.to_old_path(p) for p in routed]
@@ -389,32 +462,21 @@ def hamilton_path_protected(
         return ProtectedPathResult(None, "closing")
 
     # Assemble x .. x_1, u_1, y_1, P_2 .. x_2, u_2, y_2, ..., y_t, P_1 .. y.
+    # links[i] runs from the first vertex of link_old[i] to its second.
     full_path = list(closing)
-    by_pair = {frozenset((a2, b2)): p for (a2, b2), p in zip(link_old, links)}
     for i in range(t):
-        full_path.append(s_small[i])
-        full_path.append(ys[i])
-        if i + 1 < t:
-            p = by_pair[frozenset((xs[i + 1], ys[i]))]
-            if p[0] != ys[i]:
-                p = p[::-1]
-            full_path.extend(p[1:])
-        else:
-            p = by_pair[frozenset((ys[t - 1], y))]
-            if p[0] != ys[t - 1]:
-                p = p[::-1]
-            full_path.extend(p[1:])
-    verify_hamilton_path_in_set(g, full_path, s_vertices, x, y)
+        full_path += [s_small[i], ys[i]]
+        full_path.extend((links[i + 1][::-1] if i + 1 < t else links[0])[1:])
+    verify_hamilton_path(g, full_path, x, y, s_vertices)
     return ProtectedPathResult(tuple(full_path))
 
 
 def _pick_escorts(g, s_small, small_set, s_mask, x, y, rng):
-    taken = 0
-    xs, ys = [], []
-    order = list(range(len(s_small)))
+    """Escorts xs[i], ys[i] of s_small[i], picked in a shuffled order after a failed pass."""
+    t = len(s_small)
+    xs, ys = [0] * t, [0] * t
+    order = list(range(t))
     for _ in range(20):
-        xs.clear()
-        ys.clear()
         taken = 0
         ok = True
         for i in order:
@@ -425,22 +487,9 @@ def _pick_escorts(g, s_small, small_set, s_mask, x, y, rng):
             if len(picks) < 2:
                 ok = False
                 break
-            a, b = rng.sample(picks, 2)
-            xs.append(a)
-            ys.append(b)
-            taken |= 1 << a | 1 << b
+            xs[i], ys[i] = rng.sample(picks, 2)
+            taken |= 1 << xs[i] | 1 << ys[i]
         if ok:
             return xs, ys
         rng.shuffle(order)
     return None
-
-
-def verify_hamilton_path_in_set(g: Graph, path: Sequence[int], s: VertexSet,
-                                x: int, y: int) -> None:
-    if set(path) != set(s.to_list()) or len(set(path)) != len(path):
-        raise RuntimeError("path does not cover S exactly once each")
-    if path[0] != x or path[-1] != y:
-        raise RuntimeError("wrong endpoints")
-    for u, v in zip(path, path[1:]):
-        if not g.has_edge(u, v):
-            raise RuntimeError(f"missing edge ({u}, {v})")

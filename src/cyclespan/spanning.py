@@ -36,10 +36,6 @@ from .graph import Graph, edge_subgraph_adj, is_bipartite, iter_bits, to_graph6
 from .seeds import derive_seed
 
 
-class BudgetExceeded(RuntimeError):
-    """Raised when Hamilton cycle enumeration exceeds its node-expansion budget."""
-
-
 class VerdictKind(str, enum.Enum):
     SPANNED_EXACT = "SpannedExact"
     SPANNED_CONFIRMED = "SpannedConfirmed"
@@ -129,7 +125,6 @@ def cycle_space_dim(g: Graph) -> int:
 def enumerate_hamilton_cycles(
     g: Graph,
     limit: int | None = None,
-    budget: int | None = None,
 ) -> Iterator[HamiltonCycle]:
     """Stream all Hamilton cycles of g in canonical form, without duplicates.
 
@@ -137,8 +132,7 @@ def enumerate_hamilton_cycles(
     vertex must keep at least two usable neighbors (among the unvisited
     plus the current tip and vertex 0, which covers the forced-edge
     situation at degree-2 vertices), and the unvisited region plus the
-    tip must stay connected.  `budget` caps node expansions and raises
-    BudgetExceeded when exhausted; `limit` stops after that many cycles.
+    tip must stay connected.  `limit` stops after that many cycles.
     """
     n = g.n
     if n < 3 or limit == 0:
@@ -147,7 +141,6 @@ def enumerate_hamilton_cycles(
     if any(a == 0 for a in adj):
         return
     full = (1 << n) - 1
-    expansions = 0
     emitted = 0
     path = [0]
     visited = 1
@@ -158,9 +151,6 @@ def enumerate_hamilton_cycles(
         for w in it:
             if visited >> w & 1:
                 continue
-            expansions += 1
-            if budget is not None and expansions > budget:
-                raise BudgetExceeded(f"enumeration exceeded {budget} expansions")
             if len(path) == n - 1:
                 # w completes the path; need the closing edge and the
                 # orientation canon second < last to emit each cycle once.
@@ -225,6 +215,8 @@ _CHAIN_MIN_ROTATIONS = 10
 # runs out; a cycle through it lies outside the span of cycles that all
 # avoid it.
 _CHAIN_PATIENCE = 5
+# First attempts that may all fail before confirm_spanning_sampled gives up.
+_GIVE_UP_AFTER = 12
 
 
 def _cannot_be_hamiltonian(g: Graph) -> bool:
@@ -452,7 +444,6 @@ def confirm_spanning_sampled(
     budget: int,
     seed: int,
     rotation_budget: int = 30_000,
-    give_up_after: int = 12,
 ) -> SpanVerdict:
     """One-sided spanning confirmation by sampled Hamilton cycles.
 
@@ -471,7 +462,7 @@ def confirm_spanning_sampled(
 
     SpannedConfirmed as soon as the sampled vectors reach full
     cycle-space rank; Inconclusive when the attempt budget runs out, when
-    the first `give_up_after` attempts all fail to produce any cycle (a
+    the first `_GIVE_UP_AFTER` attempts all fail to produce any cycle (a
     strong sign the graph is not Hamiltonian), or at once, with no
     attempt, when a vertex has degree below 2 or g is disconnected.
     Never returns NotSpanned.
@@ -491,7 +482,7 @@ def confirm_spanning_sampled(
         else:
             gained = sampler.chain(rotation_budget)
         stale = 0 if gained else stale + 1
-        if sampler.successes == 0 and sampler.attempts >= give_up_after:
+        if sampler.successes == 0 and sampler.attempts >= _GIVE_UP_AFTER:
             break
     if sampler.rank == dim:
         return sampler.verdict(VerdictKind.SPANNED_CONFIRMED, dim)

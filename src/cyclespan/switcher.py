@@ -13,13 +13,18 @@ from __future__ import annotations
 
 import json
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
 
 from .gf2 import EdgeVector, intersection_parity
-from .graph import Graph, VertexSet, bfs_path, edge_subgraph_adj, iter_bits, \
-    mask_of, small_vertices
+from .graph import Graph, VertexSet, edge_subgraph_adj, iter_bits, mask_of, \
+    small_vertices
+# Bound here too: the benchmark's tracer looks it up as switcher.disjoint_pair_paths.
+from .hamfinder import disjoint_pair_paths  # noqa: F401
+
+# Search budgets of find_switcher_cycle, in path-search expansions.
+_PER_EDGE_BUDGET = 20_000
+_TOTAL_BUDGET = 400_000
 
 
 def switcher_cycle_cap(n: int) -> float | None:
@@ -107,17 +112,13 @@ class ParitySwitcher:
 def find_switcher_cycle(
     g: Graph,
     r: EdgeVector,
-    protect: VertexSet | None = None,
     small: VertexSet | None = None,
-    per_edge_budget: int = 20_000,
-    total_budget: int = 400_000,
 ) -> tuple[int, ...] | None:
     """Find an even simple cycle with exactly one edge outside r.
 
     For each non-r edge (x, y) in ascending edge-id order, search the
-    r-subgraph (minus protected vertices) for a shortest odd simple path
-    from x to y; the path plus the seed edge is an even cycle with one
-    non-r edge.  Candidates are rejected unless low-degree vertices stay
+    r-subgraph for a shortest odd simple path from x to y; the path plus
+    the seed edge is an even cycle with one non-r edge.  Candidates are rejected unless low-degree vertices stay
     lightly attached to the cycle (on-cycle small vertices may see at
     most 2 cycle vertices, off-cycle small vertices at most 1) and, for
     n >= 10, unless the cycle length is within 22 ln(n)/ln(ln(n)).
@@ -128,25 +129,20 @@ def find_switcher_cycle(
     if r.m != g.m:
         raise ValueError("vector over wrong universe")
     n = g.n
-    banned = protect.mask if protect is not None else 0
     small_set = small if small is not None else small_vertices(g) if n >= 2 else VertexSet(n)
     cap = switcher_cycle_cap(n)
     max_cycle = n if cap is None else min(n, math.floor(cap))
     if max_cycle < 4:
         return None
     r_adj = edge_subgraph_adj(g, r.bits)
-    allowed_all = ((1 << n) - 1) & ~banned
     spent = 0
     for eid in range(g.m):
         if eid in r:
             continue
         x, y = g.pair_of(eid)
-        if banned >> x & 1 or banned >> y & 1:
-            continue
-        if spent >= total_budget:
+        if spent >= _TOTAL_BUDGET:
             return None
-        path, used = _odd_simple_path(r_adj, n, x, y, allowed_all,
-                                      max_cycle - 1, per_edge_budget)
+        path, used = _odd_simple_path(r_adj, n, x, y, max_cycle - 1, _PER_EDGE_BUDGET)
         spent += used
         if path is None:
             continue
@@ -186,8 +182,8 @@ def _small_adjacency_ok(g: Graph, small: VertexSet, cycle: tuple[int, ...]) -> b
     return True
 
 
-def _parity_dist(adj: list[int], n: int, src: int, allowed: int) -> list[list[int]]:
-    """Shortest walk lengths to src split by parity, over allowed vertices."""
+def _parity_dist(adj: list[int], n: int, src: int) -> list[list[int]]:
+    """Shortest walk lengths to src split by parity."""
     inf = n * n + 7
     dist = [[inf, inf] for _ in range(n)]
     dist[src][0] = 0
@@ -196,14 +192,14 @@ def _parity_dist(adj: list[int], n: int, src: int, allowed: int) -> list[list[in
         v, par = queue.popleft()
         d = dist[v][par] + 1
         np = par ^ 1
-        for w in iter_bits(adj[v] & allowed):
+        for w in iter_bits(adj[v]):
             if dist[w][np] > d:
                 dist[w][np] = d
                 queue.append((w, np))
     return dist
 
 
-def _odd_simple_path(adj: list[int], n: int, x: int, y: int, allowed: int,
+def _odd_simple_path(adj: list[int], n: int, x: int, y: int,
                      max_edges: int, budget: int) -> tuple[list[int] | None, int]:
     """Shortest-first search for a simple odd-length path x..y within adj.
 
@@ -213,7 +209,7 @@ def _odd_simple_path(adj: list[int], n: int, x: int, y: int, allowed: int,
     """
     if max_edges < 1:
         return None, 0
-    dist_y = _parity_dist(adj, n, y, allowed)
+    dist_y = _parity_dist(adj, n, y)
     if dist_y[x][1] > max_edges:
         return None, 0
     expansions = 0
@@ -223,7 +219,7 @@ def _odd_simple_path(adj: list[int], n: int, x: int, y: int, allowed: int,
     def candidates(v: int, length: int) -> list[int]:
         need = (length + 1) & 1 ^ 1  # parity of remaining walk after stepping
         out = []
-        for w in iter_bits(adj[v] & allowed & ~on):
+        for w in iter_bits(adj[v] & ~on):
             d = dist_y[w][need]
             if length + 1 + d <= max_edges:
                 out.append((d, w))
@@ -255,78 +251,6 @@ def _odd_simple_path(adj: list[int], n: int, x: int, y: int, allowed: int,
         stack.append(candidates(w, length))
         idx.append(0)
     return None, expansions
-
-
-def disjoint_pair_paths(
-    g: Graph,
-    pairs: list[tuple[int, int]],
-    forbidden: VertexSet | None = None,
-    seed: int = 0,
-    retries: int = 200,
-) -> list[list[int]] | None:
-    """Pairwise vertex-disjoint paths joining each (a_i, b_i).
-
-    Randomized sequential routing: shuffle the pair order, BFS each pair
-    in the graph minus forbidden vertices, vertices of already-routed
-    paths and endpoints of pending pairs, and restart with a fresh
-    shuffle on failure, up to `retries` shuffles.  Deterministic given
-    the seed.  A None return is a search failure, not a nonexistence
-    certificate.
-    """
-    banned = forbidden.mask if forbidden is not None else 0
-    ends: list[int] = []
-    for a, b in pairs:
-        ends.extend((a, b))
-    if len(set(ends)) != len(ends):
-        raise ValueError("pair endpoints must be pairwise distinct")
-    for v in ends:
-        if not 0 <= v < g.n:
-            raise ValueError(f"endpoint {v} out of range")
-        if banned >> v & 1:
-            raise ValueError(f"endpoint {v} is forbidden")
-    if not pairs:
-        return []
-    rng = random.Random(seed)
-    t = len(pairs)
-    end_mask = mask_of(ends)
-    for _ in range(retries):
-        order = list(range(t))
-        rng.shuffle(order)
-        used = banned
-        routed: dict[int, list[int]] = {}
-        ok = True
-        for i in order:
-            a, b = pairs[i]
-            # Block other pairs' endpoints and everything already used.
-            blocked = (used | end_mask) & ~(1 << a) & ~(1 << b)
-            path = bfs_path(g, a, b, VertexSet(g.n, blocked), rng)
-            if path is None:
-                ok = False
-                break
-            for v in path:
-                used |= 1 << v
-            routed[i] = path
-        if ok:
-            out = [routed[i] for i in range(t)]
-            _verify_disjoint(g, pairs, out, banned)
-            return out
-    return None
-
-
-def _verify_disjoint(g: Graph, pairs, paths, banned: int) -> None:
-    seen: set[int] = set()
-    for (a, b), p in zip(pairs, paths):
-        if p[0] != a or p[-1] != b:
-            raise RuntimeError("path endpoints drifted")
-        if len(set(p)) != len(p):
-            raise RuntimeError("path revisits a vertex")
-        for u, v in zip(p, p[1:]):
-            if not g.has_edge(u, v):
-                raise RuntimeError("path uses a non-edge")
-        for v in p:
-            if v in seen or banned >> v & 1:
-                raise RuntimeError("paths overlap or touch forbidden vertices")
-        seen |= set(p)
 
 
 def hamilton_paths_of_switcher(
@@ -377,17 +301,8 @@ def _stations_a(k: int) -> list[int]:
 
 
 def _stations_b(k: int) -> list[int]:
-    # 1-based: 1, 2k, 2, 3, 2k-1, 2k-2, 4, 5, ...
-    st = [1, 2 * k]
-    lo, hi = 2, 2 * k - 1
-    while len(st) < 2 * k:
-        st += [lo, lo + 1]
-        if len(st) == 2 * k:
-            break
-        st += [hi, hi - 1]
-        lo += 2
-        hi -= 2
-    return st
+    # 1-based: 1, 2k, 2, 3, 2k-1, 2k-2, 4, 5, ...: path A mirrored by s -> 2k + 2 - s.
+    return [1] + [2 * k + 2 - s for s in _stations_a(k)[1:]]
 
 
 def _zigzag(w: ParitySwitcher, stations: list[int]) -> list[int]:

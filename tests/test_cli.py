@@ -6,9 +6,9 @@ import pytest
 
 from cyclespan import cli
 from cyclespan.cli import main
-from cyclespan.experiments import ModelParams, property_report, sample_gnp, \
-    synthetic_witness
+from cyclespan.experiments import ModelParams, property_report, sample_gnp
 from cyclespan.graph import Graph, from_graph6, to_graph6
+from cyclespan.refute import synthetic_witness
 
 
 def test_gen_deterministic(capsys):

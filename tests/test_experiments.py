@@ -11,14 +11,13 @@ from cyclespan.experiments import (
     half_degree_holds,
     property_report,
     read_trials_csv,
-    refutation_pipeline,
     run_experiment,
     sample_gnp,
-    synthetic_witness,
     threshold_p,
 )
 from cyclespan.gf2 import EdgeVector, intersection_parity
 from cyclespan.graph import Graph, VertexSet, from_edge_list
+from cyclespan.refute import refutation_pipeline, synthetic_witness
 from cyclespan.spanning import WitnessR, enumerate_hamilton_cycles, is_bipartition_form
 
 from util import petersen, random_graph

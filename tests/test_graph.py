@@ -87,8 +87,6 @@ def test_components_and_acyclic():
     g = from_edge_list(6, [(0, 1), (1, 2), (3, 4)])
     comps = g.components()
     assert [sorted(c) for c in comps] == [[0, 1, 2], [3, 4], [5]]
-    assert g.is_acyclic()
-    assert not from_edge_list(3, [(0, 1), (1, 2), (0, 2)]).is_acyclic()
 
 
 class TestVertexSet:
@@ -97,15 +95,10 @@ class TestVertexSet:
         assert 3 in s and 1 not in s
         assert sorted(s) == [0, 3]
         assert len(s) == 2
-        assert sorted(s.complement()) == [1, 2, 4]
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             VertexSet.of(3, [3])
-
-    def test_universe_mismatch(self):
-        with pytest.raises(ValueError):
-            VertexSet.of(3, [0]) | VertexSet.of(4, [0])
 
 
 class TestSmallVertices:

@@ -293,6 +293,20 @@ class TestHamiltonPathProtected:
             hamilton_path_protected(g, VertexSet.full(6), 0, 1, seed=0,
                                     small=VertexSet.of(6, [0]))
 
+    def test_escorts_stay_with_their_vertex_after_a_reshuffle(self):
+        # Vertex 10 sees 2..5 and vertex 11 only 2, 3.  A first pass that
+        # escorts 10 by 2 or 3 leaves 11 short, so the escort picker
+        # reshuffles; its escorts must still sit next to their own vertex.
+        pairs = [(i, j) for i in range(10) for j in range(i + 1, 10)]
+        pairs += [(10, v) for v in (2, 3, 4, 5)] + [(11, 2), (11, 3)]
+        g = from_edge_list(12, pairs)
+        for seed in range(20):
+            res = hamilton_path_protected(g, VertexSet.full(12), 0, 1, seed=seed,
+                                          small=VertexSet.of(12, [10, 11]))
+            assert res.ok and sorted(res.path) == list(range(12))
+            i = res.path.index(11)
+            assert {res.path[i - 1], res.path[i + 1]} == {2, 3}
+
     def test_on_subset(self):
         g = Graph.complete(9)
         s = VertexSet.of(9, [0, 2, 4, 6, 8])

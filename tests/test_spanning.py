@@ -8,7 +8,6 @@ from cyclespan.experiments import ModelParams, sample_gnp
 from cyclespan.gf2 import EdgeVector, cycle_space_basis, intersection_parity
 from cyclespan.graph import Graph, from_edge_list, is_bipartite
 from cyclespan.spanning import (
-    BudgetExceeded,
     HamiltonCycle,
     VerdictKind,
     WitnessR,
@@ -66,10 +65,6 @@ class TestEnumerator:
         for g in corpus:
             got = {hc.order for hc in enumerate_hamilton_cycles(g)}
             assert got == permutation_hamilton_cycles(g)
-
-    def test_budget_raises(self):
-        with pytest.raises(BudgetExceeded):
-            list(enumerate_hamilton_cycles(Graph.complete(8), budget=5))
 
 
 class TestHamiltonCycleType:

@@ -5,9 +5,9 @@ import pytest
 
 from cyclespan.gf2 import EdgeVector, intersection_parity
 from cyclespan.graph import Graph, VertexSet, from_edge_list
+from cyclespan.hamfinder import disjoint_pair_paths
 from cyclespan.switcher import (
     ParitySwitcher,
-    disjoint_pair_paths,
     find_switcher_cycle,
     hamilton_paths_of_switcher,
     switcher_certificate,
@@ -38,12 +38,6 @@ class TestFindSwitcherCycle:
         cyc = find_switcher_cycle(g, r)
         assert cyc is not None and len(cyc) == 6
         assert set(cyc) == set(range(6))
-
-    def test_protect_blocks_vertices(self):
-        g = Graph.complete(5)
-        r = EdgeVector.from_edge_ids(g.m, [e for e in range(g.m) if e != g.edge_id(3, 4)])
-        cyc = find_switcher_cycle(g, r, protect=VertexSet.of(5, [0]))
-        assert cyc is not None and 0 not in cyc
 
     def test_small_adjacency_rejection(self):
         # Path 0-1-2-3 plus pendant 4 on 1: declare 4 small; any cycle in
@@ -104,11 +98,6 @@ class TestDisjointPairPaths:
         g = Graph.complete(5)
         with pytest.raises(ValueError):
             disjoint_pair_paths(g, [(0, 1), (1, 2)])
-
-    def test_forbidden_endpoint_rejected(self):
-        g = Graph.complete(5)
-        with pytest.raises(ValueError):
-            disjoint_pair_paths(g, [(0, 1)], forbidden=VertexSet.of(5, [0]))
 
     def test_impossible_instance_returns_none(self):
         # On C4, the pairs (0,2) and (1,3) cannot be joined disjointly.
