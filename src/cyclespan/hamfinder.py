@@ -311,6 +311,16 @@ class SplitRequest:
         return cls(y, size // 2, size - size // 2)
 
 
+def split_feasible(g: Graph, req: SplitRequest) -> bool:
+    """Whether whole degrees can meet both floors of `lll_split` at every vertex."""
+    y_mask, size_y = req.y_vertices.mask, len(req.y_vertices)
+    for v in range(g.n):
+        d = (g.adj_bits(v) & y_mask).bit_count()
+        if -(-req.a * d // (3 * size_y)) - (-req.b * d // (3 * size_y)) > d:
+            return False
+    return True
+
+
 def lll_split(
     g: Graph,
     req: SplitRequest,
@@ -325,17 +335,16 @@ def lll_split(
     case None is returned.  The floors are not always satisfiable: A and
     B split deg(v, Y) = d into whole degrees, so v needs
     ceil(a d / 3|Y|) + ceil(b d / 3|Y|) <= d, which fails exactly when
-    d = 1.  Such a request returns None before any draw.
+    d = 1.  Such a request (see `split_feasible`) returns None before any
+    draw.
     """
+    if not split_feasible(g, req):
+        return None
     y_mask = req.y_vertices.mask
     size_y = len(req.y_vertices)
     members = req.y_vertices.to_list()
     a, b = req.a, req.b
     relevant = [v for v in range(g.n) if g.adj_bits(v) & y_mask]
-    for v in relevant:
-        d = (g.adj_bits(v) & y_mask).bit_count()
-        if -(-a * d // (3 * size_y)) - (-b * d // (3 * size_y)) > d:
-            return None
     rng = random.Random(seed)
     for _ in range(max(1, retries)):
         a_mask = mask_of(rng.sample(members, a))

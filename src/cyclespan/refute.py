@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .gf2 import EdgeVector, intersection_parity
 from .graph import Graph, VertexSet, mask_of, restrict, small_vertices
 from .hamfinder import SplitRequest, disjoint_pair_paths, hamilton_path_protected, \
-    lll_split
+    lll_split, split_feasible
 from .seeds import derive_seed
 from .spanning import HamiltonCycle, WitnessR, _odd_hamilton_cycle, \
     is_bipartition_form, normalize_witness
@@ -65,6 +65,10 @@ class RefutationResult:
         return self.cycle is not None
 
 
+def _failed(stage: str, detail: str, seed_dependent: bool) -> tuple[None, dict]:
+    return None, {"stage": stage, "detail": detail, "seed_dependent": seed_dependent}
+
+
 def build_switcher(
     g: Graph,
     r: WitnessR,
@@ -76,15 +80,18 @@ def build_switcher(
     Returns (switcher, {"vp": vp}) on success, where vp[i] stands in for
     cycle vertex i at the gadget's boundary: the vertex itself, or its
     escort when it is a low-degree vertex.  On failure returns
-    (None, {"stage": ..., "detail": ...}) telling what failed.
+    (None, {"stage": ..., "detail": ..., "seed_dependent": ...}) telling
+    what failed and whether another seed could change that.  The switcher
+    cycle, the escorts, Y and the split's degree floors do not depend on
+    the seed; the split's draws and the linkage do.
     """
     n = g.n
     small_set = small if small is not None else small_vertices(g)
     if r.vector.bits == (1 << g.m) - 1:
-        return None, {"stage": "S2a", "detail": "no non-R edge"}
+        return _failed("S2a", "no non-R edge", False)
     cycle = find_switcher_cycle(g, r.vector, small=small_set)
     if cycle is None:
-        return None, {"stage": "S2a", "detail": "no qualifying cycle"}
+        return _failed("S2a", "no qualifying cycle", False)
     two_k = len(cycle)
     k = two_k // 2
 
@@ -95,7 +102,7 @@ def build_switcher(
         if v in small_set:
             cand = [w for w in g.neighbors(v) if w not in small_set and w not in taken]
             if not cand:
-                return None, {"stage": "S2b", "detail": f"no escort for {v}"}
+                return _failed("S2b", f"no escort for {v}", False)
             vp.append(cand[0])
             taken.add(cand[0])
         else:
@@ -105,11 +112,12 @@ def build_switcher(
     y_mask = ((1 << n) - 1) & ~small_set.mask & ~u_mask
     y_set = VertexSet(n, y_mask)
     if len(y_set) < 2:
-        return None, {"stage": "S2b", "detail": "too few vertices to split"}
-    halves = lll_split(g, SplitRequest.halves(y_set),
-                       seed=derive_seed(seed, "split"))
+        return _failed("S2b", "too few vertices to split", False)
+    request = SplitRequest.halves(y_set)
+    halves = lll_split(g, request, seed=derive_seed(seed, "split"))
     if halves is None:
-        return None, {"stage": "S2b", "detail": "degree-preserving split failed"}
+        return _failed("S2b", "degree-preserving split failed",
+                       split_feasible(g, request))
 
     # Route the connector interiors inside the B half, away from the low-
     # degree vertices and their neighbours, the cycle edges, the escort
@@ -128,11 +136,11 @@ def build_switcher(
     try:
         pairs = [(idx[vp[j]], idx[vp[two_k - j]]) for j in range(1, k)]
     except KeyError:
-        return None, {"stage": "S2b", "detail": "escort missing from link side"}
+        return _failed("S2b", "escort missing from link side", True)
     routed = disjoint_pair_paths(sub.graph, pairs,
                                  seed=derive_seed(seed, "link"))
     if routed is None:
-        return None, {"stage": "S2b", "detail": "vertex-disjoint linkage failed"}
+        return _failed("S2b", "vertex-disjoint linkage failed", True)
 
     # Each routed link runs from vp[j] to vp[2k - j].
     paths = []
@@ -146,7 +154,7 @@ def build_switcher(
     try:
         sw = ParitySwitcher.build(g, cycle, paths, r.vector)
     except ValueError as exc:
-        return None, {"stage": "S2b", "detail": f"switcher invalid: {exc}"}
+        return _failed("S2b", f"switcher invalid: {exc}", True)
     return sw, {"vp": vp}
 
 
@@ -166,7 +174,10 @@ def refutation_pipeline(
     assembly picks the switcher traversal whose parity complements the
     outer path and concatenates the two.  Every success is re-verified:
     the output is a Hamilton cycle of g whose overlap with r.vector is
-    odd.  Failures are retried with fresh sub-seeds.  For n <= 16,
+    odd.  Failures are retried with fresh sub-seeds, up to `retries`
+    attempts, unless build_switcher reports that the failure does not
+    depend on the seed (see there); then the loop ends after that
+    attempt, and `attempts` counts the attempts made.  For n <= 16,
     `enumeration_fallback` then asks the exact decider's parity subset DP,
     which returns a Hamilton cycle meeting r oddly or proves that none
     exists.
@@ -177,11 +188,15 @@ def refutation_pipeline(
         # Structural validation failure: every edge is a witness edge, so
         # no switcher seed exists and no fallback applies.
         return RefutationResult(None, failed_stage="S2a", detail="no non-R edge")
+    attempts = 0
     for attempt in range(retries):
+        attempts = attempt + 1
         sub_seed = derive_seed(seed, "refute", attempt)
         sw, meta = build_switcher(g, r, sub_seed, small=small_set)
         if sw is None:
             last_stage, last_detail = meta["stage"], meta["detail"]
+            if not meta["seed_dependent"]:
+                break  # every retry would rebuild the same inputs and fail alike
             continue
         vp = meta["vp"]
         cycle = sw.cycle
@@ -212,16 +227,16 @@ def refutation_pipeline(
         hc = HamiltonCycle.from_order(g, order)
         if intersection_parity(hc.vector, r.vector) != 1:
             raise RuntimeError("assembled cycle has even witness overlap")
-        return RefutationResult(hc, switcher=sw, attempts=attempt + 1, via="switcher")
+        return RefutationResult(hc, switcher=sw, attempts=attempts, via="switcher")
     if enumeration_fallback and g.n <= 16:
         hamiltonian, order = _odd_hamilton_cycle(g, r.vector.bits)
         if order is not None:
             hc = HamiltonCycle.from_order(g, order)
             if intersection_parity(hc.vector, r.vector) != 1:
                 raise RuntimeError("parity DP cycle has even witness overlap")
-            return RefutationResult(hc, attempts=retries, via="parity_dp")
+            return RefutationResult(hc, attempts=attempts, via="parity_dp")
         last_stage = "S3"
         last_detail = ("no odd-overlap Hamilton cycle exists" if hamiltonian
                        else "no Hamilton cycle exists")
     return RefutationResult(None, failed_stage=last_stage, detail=last_detail,
-                            attempts=retries)
+                            attempts=attempts)

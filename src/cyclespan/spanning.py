@@ -4,13 +4,15 @@ The central question: do the incidence vectors of a graph's Hamilton
 cycles span its whole cycle space?  `decide_spanning_exact` answers it
 without listing the cycles: a proven upper bound on the Hamilton rank
 (parity obstruction plus witnesses proven so far), sampled Hamilton
-cycles for the lower bound, and a parity subset DP that closes any gap
-between the two.  `confirm_spanning_sampled` is the one-sided large-n
-surrogate: the same sampler, chaining each Hamilton cycle into the next
-by Posa rotations.  When spanning fails, `extract_witness` produces a
-dual certificate: an edge set meeting every Hamilton cycle evenly but
-some cycle oddly.  `enumerate_hamilton_cycles` lists every Hamilton
-cycle; tests use it as the reference.
+cycles and their 2-opt neighbours for the lower bound, and a parity
+subset DP that closes any gap between the two.  A 2-opt move turns a
+Hamilton cycle into another that differs from it in a 4-cycle, so one
+search brings several Hamilton vectors.  `confirm_spanning_sampled` is
+the one-sided large-n surrogate: the same sampler, chaining each
+Hamilton cycle into the next by Posa rotations.  When spanning fails,
+`extract_witness` produces a dual certificate: an edge set meeting every
+Hamilton cycle evenly but some cycle oddly.  `enumerate_hamilton_cycles`
+lists every Hamilton cycle; tests use it as the reference.
 """
 
 from __future__ import annotations
@@ -299,10 +301,62 @@ class _CycleSampler:
         self.certificate.append(hc)
         return True
 
+    def harvest(self, h: Sequence[int], budget: int, bound: int) -> bool:
+        """Insert the 2-opt neighbours of the Hamilton cycle h; True iff the rank rose.
+
+        Each move tried costs one step of `counter`; the harvest stops
+        once the steps reach `budget` or the rank reaches `bound`.  The
+        vector H xor (4-cycle) is built from star ANDs, and only a move
+        that raises the rank pays for H' through `from_order`.  H' must
+        carry exactly the inserted bits before it joins the certificate.
+        """
+        g, counter = self.g, self.counter
+        star = [g.star_bits(v) for v in (*h, h[0])]  # star[k] is h_k's, k mod n
+        bits = EdgeVector.from_vertex_path(g, h, closed=True).bits
+        rank = self.rank
+        for i, j in _two_opt_moves(g, h):
+            if counter.steps >= budget or self.rank >= bound:
+                break
+            counter.steps += 1
+            a, b, c, d = star[i], star[i + 1], star[j], star[j + 1]
+            vec = EdgeVector(bits ^ (a & b) ^ (c & d) ^ (a & c) ^ (b & d), g.m)
+            if not self.basis.insert(vec).extended:
+                continue
+            hc = HamiltonCycle.from_order(g, h[:i + 1] + h[j:i:-1] + h[j + 1:])
+            if hc.vector != vec:
+                raise RuntimeError("2-opt cycle does not match its inserted vector")
+            self.certificate.append(hc)
+        return self.rank > rank
+
     def verdict(self, kind: VerdictKind, dim: int,
                 witness: WitnessR | None = None) -> SpanVerdict:
         return SpanVerdict(kind, self.rank, dim, witness=witness,
                            certificate=tuple(self.certificate))
+
+
+def _two_opt_moves(g: Graph, h: Sequence[int]) -> Iterator[tuple[int, int]]:
+    """The 2-opt moves (i, j) of the Hamilton cycle h, in a fixed order.
+
+    A move is a pair i < j whose cycle edges h_i h_{i+1} and h_j h_{j+1}
+    (indices mod n) do not share a vertex, with h_i ~ h_j and
+    h_{i+1} ~ h_{j+1}.  Swapping the two cycle edges for those two chords
+    gives the Hamilton cycle h_0..h_i, h_j..h_{i+1}, h_{j+1}..h_{n-1}, and
+    the symmetric difference of the two cycles is the 4-cycle
+    h_i h_{i+1} h_{j+1} h_j.  The scan runs over i ascending, then over the
+    neighbours c of h_i in ascending order with j the position of c: O(n
+    times max degree).
+    """
+    n = len(h)
+    pos = [0] * n
+    for k, v in enumerate(h):
+        pos[v] = k
+    for i in range(n - 2):
+        last = n - 2 if i == 0 else n - 1  # h_{n-1} h_0 shares h_0 with h_0 h_1
+        after = g.adj_bits(h[i + 1])
+        for c in g.neighbors(h[i]):
+            j = pos[c]
+            if i + 1 < j <= last and after >> h[(j + 1) % n] & 1:
+                yield i, j
 
 
 def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
@@ -323,13 +377,18 @@ def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
     subset DP over (visited set, endpoint, R-parity) of Hamilton paths
     from vertex 0.  It rebuilds a Hamilton cycle meeting R oddly, which
     raises the rank, or proves R a witness, which lowers the bound.
+    Harvest.  Every Hamilton cycle that (b) draws or (c) rebuilds, whether
+    or not it raised the rank, also has its 2-opt moves (`_two_opt_moves`)
+    inserted, until the rank meets the bound; a move that raises the
+    rank adds its verified cycle to the certificate.
 
     Rank equal to the bound is exact: SpannedExact when it is dim,
     otherwise NotSpanned with a witness taken from the orthocomplement of
-    the certificate and re-verified against it.  `budget` counts search
-    steps: each extension or rotation is one, each DP state is one, and a
-    DP has 2^(n-1) * n * 2 states.  When the next DP does not fit in what
-    is left, the verdict is Inconclusive, never a wrong one.
+    the certificate and re-verified against it.  `budget` counts steps:
+    each extension or rotation is one, each 2-opt move tried is one, each
+    DP state is one, and a DP has 2^(n-1) * n * 2 states.  When the next
+    DP does not fit in what is left, the verdict is Inconclusive, never a
+    wrong one.
     """
     dim = cycle_space_dim(g)
     if dim == 0:
@@ -345,20 +404,20 @@ def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
     if _cannot_be_hamiltonian(g):
         bound = 0
     sampler = _CycleSampler(g, _EXACT_SEED)
+    counter = sampler.counter
     dp_states = (1 << (n - 1)) * n * 2
     patience = min(dp_states, _STALL_STEPS_PER_VERTEX * n)
     idle = 0
-    while sampler.rank < bound and idle < patience and sampler.counter.steps < budget:
-        before = sampler.counter.steps
-        if sampler.draw(min(patience - idle, budget - before)):
-            idle = 0
-        else:
-            idle += sampler.counter.steps - before
-    spent = sampler.counter.steps
+    while sampler.rank < bound and idle < patience and counter.steps < budget:
+        before = counter.steps
+        gained = sampler.draw(min(patience - idle, budget - before))
+        if sampler.last is not None and sampler.harvest(sampler.last, budget, bound):
+            gained = True
+        idle = 0 if gained else idle + counter.steps - before
     while sampler.rank < bound:
-        if dp_states > budget - spent:
+        if dp_states > budget - counter.steps:
             return sampler.verdict(VerdictKind.INCONCLUSIVE, dim)
-        spent += dp_states
+        counter.steps += dp_states
         r = next(v for v in orthocomplement_basis(sampler.basis.rows(), m)
                  if not proven.in_span(v))
         hamiltonian, order = _odd_hamilton_cycle(g, r.bits)
@@ -366,6 +425,7 @@ def decide_spanning_exact(g: Graph, budget: int = 10**8) -> SpanVerdict:
             hc = HamiltonCycle.from_order(g, order)
             if intersection_parity(hc.vector, r) != 1 or not sampler.add(hc):
                 raise RuntimeError("parity DP cycle does not meet R oddly")
+            sampler.harvest(hc.order, budget, bound)
         elif not hamiltonian:
             if sampler.rank:
                 raise RuntimeError("parity DP found no Hamilton cycle after sampling one")

@@ -1,0 +1,54 @@
+"""The benchmark's own re-verification, run on the package's outputs.
+
+`perfbench/verify.py` re-checks every op of the benchmark with code that
+shares nothing with the package, and the benchmark exits 3 on the first
+violation.  These tests load it by path and put the same checks on the
+exact and sampled deciders, so an output the benchmark would refuse
+fails here first.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from cyclespan import spanning
+from cyclespan.experiments import ModelParams, sample_gnp
+
+VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
+# The verdicts each workload's check allows (perfbench/workloads.py).
+EXACT_ALLOWED = frozenset({"SpannedExact", "NotSpanned", "TriviallySpanned", "Inconclusive"})
+SPAN_ALLOWED = frozenset({"SpannedConfirmed", "TriviallySpanned", "Inconclusive"})
+EXACT_BUDGET = 50_000
+
+
+@pytest.fixture(scope="module")
+def verify():
+    spec = importlib.util.spec_from_file_location("perfbench_verify", VERIFY)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.mark.parametrize("n", range(9, 17))
+def test_exact_decider_passes_bench_verify(verify, n):
+    for seed in (0, 1):
+        g = sample_gnp(ModelParams(n=n, f=3, seed=seed, allow_even_n=True))
+        verdict = spanning.decide_spanning_exact(g, budget=EXACT_BUDGET)
+        facts = verify.facts_of(g)
+        masks = verify.check_verdict(facts, verdict, EXACT_ALLOWED)
+        kind = verdict.kind.value
+        assert not (n % 2 == 0 and not facts.bipartite and kind in verify.SPANNED)
+        if kind == "NotSpanned":
+            witness = verdict.witness.vector.bits
+            normal = spanning.normalize_witness(g, verdict.witness, mode="exact")
+            verify.check_witness(facts, masks, witness, "witness")
+            verify.check_normalized(facts, masks, witness, normal.vector.bits)
+
+
+def test_sampled_confirmer_passes_bench_verify(verify):
+    for seed in (0, 1):
+        g = sample_gnp(ModelParams(n=51, f=3, seed=seed))
+        verdict = spanning.confirm_spanning_sampled(
+            g, budget=spanning.cycle_space_dim(g) + 50, seed=seed)
+        verify.check_verdict(verify.facts_of(g), verdict, SPAN_ALLOWED)

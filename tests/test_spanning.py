@@ -5,7 +5,7 @@ import pytest
 
 from cyclespan import hamfinder, spanning
 from cyclespan.experiments import ModelParams, sample_gnp
-from cyclespan.gf2 import EdgeVector, cycle_space_basis, intersection_parity
+from cyclespan.gf2 import EdgeVector, Gf2Basis, cycle_space_basis, intersection_parity
 from cyclespan.graph import Graph, from_edge_list, is_bipartite
 from cyclespan.spanning import (
     HamiltonCycle,
@@ -24,8 +24,10 @@ from cyclespan.spanning import (
 from util import (
     all_bipartition_cuts,
     batch_gf2_rank,
+    edge_id_vertex_path,
     graph_from_mask,
     gray_loop_normalize,
+    naive_two_opt_moves,
     permutation_hamilton_cycles,
     petersen,
     random_graph,
@@ -229,6 +231,104 @@ class TestDecideExactDifferential:
             assert v.rank_reached == v.dim_cycle_space - 1
             assert all(intersection_parity(v.witness.vector, hc.vector) == 0
                        for hc in v.certificate)
+
+
+    # Certificate orders and witness of the exact decider; the harvested
+    # 2-opt cycles are among them.
+    @pytest.mark.parametrize("n, p, kind, orders, witness_hex", [
+        (9, 0.6, VerdictKind.SPANNED_EXACT, [
+            [0, 2, 4, 8, 1, 7, 6, 5, 3], [0, 2, 4, 8, 5, 6, 7, 1, 3],
+            [0, 2, 4, 8, 1, 7, 5, 6, 3], [0, 2, 4, 8, 1, 7, 6, 3, 5],
+            [0, 2, 4, 8, 5, 3, 1, 7, 6], [0, 2, 4, 8, 1, 3, 5, 7, 6],
+            [0, 1, 7, 6, 3, 5, 8, 4, 2], [0, 2, 6, 3, 1, 7, 4, 8, 5],
+            [0, 2, 4, 7, 1, 8, 5, 3, 6], [0, 3, 5, 8, 1, 7, 4, 2, 6],
+            [0, 6, 2, 4, 7, 1, 3, 5, 8]], None),
+        (8, 0.8, VerdictKind.NOT_SPANNED, [
+            [0, 2, 5, 4, 6, 3, 1, 7], [0, 3, 6, 4, 5, 2, 1, 7], [0, 5, 2, 4, 6, 3, 1, 7],
+            [0, 6, 4, 5, 2, 3, 1, 7], [0, 2, 3, 6, 4, 5, 1, 7], [0, 2, 5, 4, 3, 6, 1, 7],
+            [0, 2, 5, 4, 6, 1, 3, 7], [0, 1, 7, 3, 6, 4, 5, 2], [0, 1, 6, 4, 5, 2, 3, 7],
+            [0, 3, 2, 5, 4, 6, 1, 7], [0, 5, 4, 6, 1, 2, 3, 7], [0, 6, 1, 4, 5, 2, 3, 7],
+            [0, 1, 5, 4, 6, 2, 3, 7]], "c73101"),
+    ])
+    def test_golden_exact_certificate(self, n, p, kind, orders, witness_hex):
+        v = decide_spanning_exact(random_graph(random.Random(2026), n, p))
+        assert v.kind is kind
+        assert [list(hc.order) for hc in v.certificate] == orders
+        assert (v.witness and v.witness.vector.to_hex()) == witness_hex
+
+
+def _harvest_cases():
+    """(graph, Hamilton cycle): K5..K9 and 30 seeded Hamiltonian graphs, n = 5..12."""
+    graphs = [Graph.complete(n) for n in range(5, 10)]
+    rng = random.Random(616)
+    while len(graphs) < 35:
+        g = random_graph(rng, rng.randint(5, 12), rng.uniform(0.4, 0.9))
+        if next(enumerate_hamilton_cycles(g, limit=1), None) is not None:
+            graphs.append(g)
+    return [(g, next(enumerate_hamilton_cycles(g, limit=1))) for g in graphs]
+
+
+def _four_cycles(g, h):
+    """Vector of the 4-cycle of each naive 2-opt move of h, in scan order."""
+    n = len(h)
+    moves = sorted(naive_two_opt_moves(g, h), key=lambda ij: (ij[0], h[ij[1]]))
+    return [edge_id_vertex_path(g, [h[i], h[(i + 1) % n], h[(j + 1) % n], h[j]],
+                                closed=True) for i, j in moves]
+
+
+class _RecordingBasis(Gf2Basis):
+    """A basis that records the bits of every vector inserted."""
+
+    def __init__(self, m):
+        super().__init__(m)
+        self.calls = []
+
+    def insert(self, v):
+        self.calls.append(v.bits)
+        return super().insert(v)
+
+
+def _recording_sampler(g):
+    sampler = spanning._CycleSampler(g, 0)
+    sampler.basis = _RecordingBasis(g.m)
+    return sampler
+
+
+class TestTwoOptHarvest:
+    def test_tries_every_move_once_in_scan_order(self):
+        for g, hc in _harvest_cases():
+            want = [hc.vector.bits ^ c4 for c4 in _four_cycles(g, list(hc.order))]
+            sampler = _recording_sampler(g)
+            sampler.harvest(hc.order, budget=10**9, bound=10**9)
+            assert sampler.basis.calls == want
+            assert sampler.counter.steps == len(want)
+
+    def test_harvested_cycles_are_hamiltonian_two_opt_neighbours(self):
+        for g, hc in _harvest_cases():
+            four_cycles = set(_four_cycles(g, list(hc.order)))
+            sampler = spanning._CycleSampler(g, 0)
+            sampler.harvest(hc.order, budget=10**9, bound=10**9)
+            assert sampler.rank == len(sampler.certificate) > 0
+            edges = set(g.edges)
+            for new in sampler.certificate:
+                assert sorted(new.order) == list(range(g.n))
+                pairs = list(zip(new.order, new.order[1:] + new.order[:1]))
+                assert all((min(u, w), max(u, w)) in edges for u, w in pairs)
+                assert new.vector.bits == edge_id_vertex_path(g, list(new.order), closed=True)
+                assert new.vector.bits ^ hc.vector.bits in four_cycles
+            vectors = [c.vector.bits for c in sampler.certificate]
+            assert batch_gf2_rank(vectors, g.m) == len(vectors)
+
+    def test_stops_at_budget_and_at_bound(self):
+        g, hc = Graph.complete(8), next(enumerate_hamilton_cycles(Graph.complete(8), limit=1))
+        sampler = _recording_sampler(g)
+        sampler.counter.steps = 100
+        sampler.harvest(hc.order, budget=103, bound=10**9)
+        assert len(sampler.basis.calls) == 3 and sampler.counter.steps == 103
+        sampler = spanning._CycleSampler(g, 0)
+        assert sampler.harvest(hc.order, budget=10**9, bound=2)
+        assert sampler.rank == 2
+        assert not sampler.harvest(hc.order, budget=10**9, bound=2)
 
 
 class TestConfirmSampled:

@@ -45,6 +45,23 @@ def edge_id_vertex_path(g: Graph, path: list[int], closed: bool = False) -> int:
     return bits
 
 
+def naive_two_opt_moves(g: Graph, order: list[int]) -> list[tuple[int, int]]:
+    """Every 2-opt move (i, j), i < j, of a Hamilton cycle, over all pairs.
+
+    Cycle edges order[i] order[i+1] and order[j] order[j+1] (indices mod
+    n) qualify when their four ends are distinct, order[i] ~ order[j] and
+    order[i+1] ~ order[j+1].
+    """
+    n = len(order)
+    moves = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b, c, d = order[i], order[(i + 1) % n], order[j], order[(j + 1) % n]
+            if len({a, b, c, d}) == 4 and g.has_edge(a, c) and g.has_edge(b, d):
+                moves.append((i, j))
+    return moves
+
+
 def mask_rotate_cycle(g: Graph, order: list[int], cut: int, min_rotations: int,
                       budget: int, seed: int) -> tuple[list[int] | None, int]:
     """Pósa rotations of a cut Hamilton cycle, pivots drawn from a bit mask.
