@@ -3,7 +3,8 @@
 Library layout, each module importing only from those above it:
 
 - seeds: derived sub-seeds
-- graph: immutable graphs, canonical edge ids, graph6 and edge-list I/O
+- graph: immutable graphs, edge ids read from star masks, the BFS
+  forest behind cut and bipartiteness tests, graph6 and edge-list I/O
 - gf2: edge vectors, incremental elimination, cycle and cut spaces
 - hamfinder: rotation-extension search, vertex-disjoint pair paths,
   splits, sheltered Hamilton paths

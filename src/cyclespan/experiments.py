@@ -461,16 +461,15 @@ class ExperimentConfig:
     master_seed: int = 0
     workers: int = 1
     span_extra: int = 50
-    rotation_budget: int = 30_000
     with_refutation: bool = False
     allow_even_n: bool = False
 
 
-def _run_trial(args: tuple) -> TrialRecord:
-    (cell_idx, trial_idx, n, p, master_seed, span_extra, rotation_budget,
-     with_refutation, allow_even) = args
-    seed = derive_seed(master_seed, "cell", cell_idx, "trial", trial_idx)
-    params = ModelParams(n=n, p=p, seed=seed, allow_even_n=allow_even)
+def _run_trial(task: tuple[ExperimentConfig, int, int, float]) -> TrialRecord:
+    config, cell_idx, trial_idx, p = task
+    n = config.cells[cell_idx].n
+    seed = derive_seed(config.master_seed, "cell", cell_idx, "trial", trial_idx)
+    params = ModelParams(n=n, p=p, seed=seed, allow_even_n=config.allow_even_n)
     t0 = time.perf_counter()
     g = sample_gnp(params)
     ms_sample = (time.perf_counter() - t0) * 1000
@@ -480,8 +479,7 @@ def _run_trial(args: tuple) -> TrialRecord:
 
     t0 = time.perf_counter()
     verdict = confirm_spanning_sampled(
-        g, budget=dim + span_extra, seed=derive_seed(seed, "span"),
-        rotation_budget=rotation_budget)
+        g, budget=dim + config.span_extra, seed=derive_seed(seed, "span"))
     ms_span = (time.perf_counter() - t0) * 1000
 
     if dim == 0 and g.n >= 3:
@@ -494,7 +492,7 @@ def _run_trial(args: tuple) -> TrialRecord:
     switcher_found = False
     refutation_ok: bool | None = None
     ms_refute = 0.0
-    if with_refutation:
+    if config.with_refutation:
         t0 = time.perf_counter()
         wit = synthetic_witness(g, derive_seed(seed, "witness"))
         if wit is None:
@@ -533,9 +531,7 @@ def run_experiment(config: ExperimentConfig, out_path: str | None = None) -> lis
         else:
             p = cell.p
         for ti in range(cell.trials):
-            tasks.append((ci, ti, cell.n, p, config.master_seed,
-                          config.span_extra, config.rotation_budget,
-                          config.with_refutation, config.allow_even_n))
+            tasks.append((config, ci, ti, p))
     records = []
     with contextlib.ExitStack() as stack:
         if config.workers > 1:

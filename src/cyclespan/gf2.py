@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graph import Graph, iter_bits
+from .graph import Graph, bfs_forest, iter_bits
 
 
 @dataclass(frozen=True)
@@ -172,58 +172,22 @@ class Gf2Basis:
 
 
 def cycle_space_basis(g: Graph) -> list[EdgeVector]:
-    """Fundamental cycles over a BFS spanning forest.
+    """Fundamental cycles over the BFS spanning forest of `bfs_forest`.
 
-    The forest is grown by BFS from the lowest-id vertex of each
-    component with neighbors visited in ascending order, so the basis is
-    reproducible.  One vector per non-tree edge: the edge plus the tree
-    path between its endpoints, which is always a simple cycle.  The
-    result has exactly m - n + c vectors and spans the cycle space.
+    The forest grows from the lowest-id vertex of each component with
+    neighbors visited in ascending order, so the basis is reproducible.
+    One vector per non-tree edge uv, in ascending edge id: the edge plus
+    the tree path between its endpoints, which is always a simple cycle.
+    That path is up[u] ^ up[v], because the shared part of the two root
+    paths cancels; for a tree edge the sum is 0.  The result has exactly
+    m - n + c vectors and spans the cycle space.
     """
-    n, m = g.n, g.m
-    parent = [-1] * n
-    parent_eid = [-1] * n
-    depth = [0] * n
-    seen = [False] * n
-    tree_mask = 0
-    order = []
-    for s in range(n):
-        if seen[s]:
-            continue
-        seen[s] = True
-        queue = [s]
-        order.append(s)
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for w in g.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    eid = g.edge_id(u, w)
-                    parent_eid[w] = eid
-                    depth[w] = depth[u] + 1
-                    tree_mask |= 1 << eid
-                    queue.append(w)
+    _, up = bfs_forest(g, 0)
     out = []
     for eid, (u, v) in enumerate(g.edges):
-        if tree_mask >> eid & 1:
-            continue
-        bits = 1 << eid
-        a, b = u, v
-        while depth[a] > depth[b]:
-            bits ^= 1 << parent_eid[a]
-            a = parent[a]
-        while depth[b] > depth[a]:
-            bits ^= 1 << parent_eid[b]
-            b = parent[b]
-        while a != b:
-            bits ^= 1 << parent_eid[a]
-            bits ^= 1 << parent_eid[b]
-            a = parent[a]
-            b = parent[b]
-        out.append(EdgeVector(bits, m))
+        bits = up[u] ^ up[v] ^ (1 << eid)
+        if bits:
+            out.append(EdgeVector(bits, g.m))
     return out
 
 

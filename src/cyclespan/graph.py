@@ -4,7 +4,9 @@ Vertices are dense integers 0..n-1. Edges are normalized to (u, v) with
 u < v and stored sorted lexicographically; the rank of a pair in that
 order is its edge id. Structurally equal graphs therefore assign
 identical edge ids, which keeps GF(2) edge vectors comparable across
-runs and machines.
+runs and machines.  No pair-to-id table is kept: the star mask of a
+vertex holds the ids of its edges, so star(u) & star(v) is the bit of
+edge uv, or 0 when u and v are not adjacent.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class Graph:
     rejected.  The input pair order never matters.
     """
 
-    __slots__ = ("n", "edges", "edge_index", "_neighbors", "_adj_bits", "_star_bits")
+    __slots__ = ("n", "edges", "_neighbors", "_adj_bits", "_star_bits")
 
     def __init__(self, n: int, pairs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -109,7 +111,6 @@ class Graph:
                 raise ValueError(f"duplicate edge {a}")
         self.n = n
         self.edges: tuple[tuple[int, int], ...] = tuple(norm)
-        self.edge_index: dict[tuple[int, int], int] = {e: i for i, e in enumerate(norm)}
         adj = [0] * n
         star = [0] * n
         # Sorted pairs reach every vertex's neighbours in ascending order.
@@ -148,11 +149,11 @@ class Graph:
         return 0 <= u < self.n and self._adj_bits[u] >> v & 1 == 1
 
     def edge_id(self, u: int, v: int) -> int:
-        key = (u, v) if u < v else (v, u)
-        try:
-            return self.edge_index[key]
-        except KeyError:
-            raise ValueError(f"no edge {key}") from None
+        if 0 <= u < self.n and 0 <= v < self.n and u != v:
+            e = self._star_bits[u] & self._star_bits[v]
+            if e:
+                return e.bit_length() - 1
+        raise ValueError(f"no edge ({u}, {v})")
 
     def pair_of(self, eid: int) -> tuple[int, int]:
         return self.edges[eid]
@@ -276,22 +277,53 @@ def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None,
     return None
 
 
-def is_bipartite(g: Graph) -> bool:
-    color = [-1] * g.n
+def bfs_forest(g: Graph, cross: int) -> tuple[list[int], list[int]] | None:
+    """BFS spanning forest whose sides split exactly the edges in `cross`.
+
+    Each component grows from its lowest vertex, neighbours taken in
+    ascending order.  Its root gets side 0, and a vertex reached over
+    edge e gets its parent's side, flipped when e is in `cross`.  Returns
+    (side, up), where up[v] is the mask of tree edges on the path from v
+    to its root, or None at the first edge whose ends contradict the
+    sides.  With cross = 0 it never returns None.
+    """
+    star, nbrs = g._star_bits, g._neighbors
+    side = [-1] * g.n
+    up = [0] * g.n
     for s in range(g.n):
-        if color[s] >= 0:
+        if side[s] >= 0:
             continue
-        color[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w in g.neighbors(u):
-                if color[w] < 0:
-                    color[w] = color[u] ^ 1
+        side[s] = 0
+        queue = [s]
+        for u in queue:  # grows while it is walked
+            su, upu, stu = side[u], up[u], star[u]
+            for w in nbrs[u]:
+                e = stu & star[w]
+                want = su ^ 1 if cross & e else su
+                if side[w] < 0:
+                    side[w] = want
+                    up[w] = upu | e
                     queue.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
+                elif side[w] != want:
+                    return None
+    return side, up
+
+
+def is_edge_cut(g: Graph, cross: int) -> bool:
+    """True iff the edges in `cross` are E(A, B) for a partition V = A + B.
+
+    A final pass re-checks every edge against the forest's sides.
+    """
+    forest = bfs_forest(g, cross)
+    if forest is None:
+        return False
+    side = forest[0]
+    return all((side[u] != side[v]) == (cross >> e & 1 == 1)
+               for e, (u, v) in enumerate(g.edges))
+
+
+def is_bipartite(g: Graph) -> bool:
+    return is_edge_cut(g, (1 << g.m) - 1)
 
 
 @dataclass(frozen=True)
@@ -300,7 +332,6 @@ class Restriction:
 
     graph: Graph
     old_vertex: tuple[int, ...]  # new vertex id -> old vertex id
-    old_edge: tuple[int, ...]    # new edge id -> old edge id
     # old vertex id -> new vertex id; derived from old_vertex, so it takes
     # no part in equality or hashing.
     new_vertex: dict[int, int] = field(compare=False, repr=False)
@@ -313,8 +344,7 @@ def restrict(g: Graph, keep_vertices: VertexSet, drop_edges: Iterable[int] = ())
     """Induced subgraph on keep_vertices with drop_edges removed.
 
     The result carries a canonical re-indexing: kept vertices are
-    renumbered in ascending order of their old ids, and the mapping from
-    new edge ids to original edge ids is returned alongside.
+    renumbered in ascending order of their old ids.
     """
     if keep_vertices.n != g.n:
         raise ValueError("vertex set over wrong universe")
@@ -326,16 +356,12 @@ def restrict(g: Graph, keep_vertices: VertexSet, drop_edges: Iterable[int] = ())
     old_vertex = tuple(keep_vertices)
     new_of = {old: new for new, old in enumerate(old_vertex)}
     pairs = []
-    old_eids = []
     for eid, (u, v) in enumerate(g.edges):
         if dropped >> eid & 1:
             continue
         if u in new_of and v in new_of:
             pairs.append((new_of[u], new_of[v]))
-            old_eids.append(eid)
-    # Renumbering is monotone, so the kept pairs stay in sorted order and
-    # the sub's edge ids follow the host's.
-    return Restriction(Graph(len(old_vertex), pairs), old_vertex, tuple(old_eids), new_of)
+    return Restriction(Graph(len(old_vertex), pairs), old_vertex, new_of)
 
 
 # ---------------------------------------------------------------------------

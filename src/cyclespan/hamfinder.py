@@ -25,6 +25,7 @@ from .seeds import derive_seed
 
 # Rotation-extension budget of each closing path in hamilton_path_protected.
 _CLOSING_BUDGET = 300_000
+# Shuffled routing orders disjoint_pair_paths tries before it gives up.
 _LINKAGE_RETRIES = 200
 _SPLIT_RETRIES = 2_000
 
@@ -224,15 +225,15 @@ def disjoint_pair_paths(
     g: Graph,
     pairs: list[tuple[int, int]],
     seed: int = 0,
-    retries: int = 200,
 ) -> list[list[int]] | None:
     """Pairwise vertex-disjoint paths, the i-th running from a_i to b_i.
 
     Randomized sequential routing: shuffle the pair order, BFS each pair
     in the graph minus the vertices of already-routed paths and the
     endpoints of pending pairs, and restart with a fresh shuffle on
-    failure, up to `retries` shuffles.  Deterministic given the seed.  A
-    None return is a search failure, not a nonexistence certificate.
+    failure, up to `_LINKAGE_RETRIES` shuffles.  Deterministic given the
+    seed.  A None return is a search failure, not a nonexistence
+    certificate.
     """
     ends: list[int] = []
     for a, b in pairs:
@@ -247,7 +248,7 @@ def disjoint_pair_paths(
     rng = random.Random(seed)
     t = len(pairs)
     end_mask = mask_of(ends)
-    for _ in range(retries):
+    for _ in range(_LINKAGE_RETRIES):
         order = list(range(t))
         rng.shuffle(order)
         used = 0
@@ -456,8 +457,7 @@ def hamilton_path_protected(
         pairs1 = [(idx1[a2], idx1[b2]) for a2, b2 in link_old]
     except KeyError:
         return ProtectedPathResult(None, "linkage")
-    routed = disjoint_pair_paths(res1.graph, pairs1, seed=derive_seed(seed, "link"),
-                                 retries=_LINKAGE_RETRIES)
+    routed = disjoint_pair_paths(res1.graph, pairs1, seed=derive_seed(seed, "link"))
     if routed is None:
         return ProtectedPathResult(None, "linkage")
     links = [res1.to_old_path(p) for p in routed]

@@ -34,7 +34,8 @@ from .gf2 import (
     intersection_parity,
     orthocomplement_basis,
 )
-from .graph import Graph, edge_subgraph_adj, is_bipartite, iter_bits, to_graph6
+from .graph import Graph, edge_subgraph_adj, is_bipartite, is_edge_cut, iter_bits, \
+    to_graph6
 from .seeds import derive_seed
 
 
@@ -86,11 +87,14 @@ class WitnessR:
     even_with_all_hamilton: bool
     odd_with_some_cycle: bool
     normalized: bool
-    size: int
+
+    @property
+    def size(self) -> int:
+        return self.vector.weight
 
     @classmethod
     def unverified(cls, vector: EdgeVector) -> "WitnessR":
-        return cls(vector, False, False, False, vector.weight)
+        return cls(vector, False, False, False)
 
 
 @dataclass(frozen=True)
@@ -219,6 +223,8 @@ _CHAIN_MIN_ROTATIONS = 10
 _CHAIN_PATIENCE = 5
 # First attempts that may all fail before confirm_spanning_sampled gives up.
 _GIVE_UP_AFTER = 12
+# Rotations that one draw or chain step of confirm_spanning_sampled may make.
+_ROTATION_BUDGET = 30_000
 
 
 def _cannot_be_hamiltonian(g: Graph) -> bool:
@@ -503,7 +509,6 @@ def confirm_spanning_sampled(
     g: Graph,
     budget: int,
     seed: int,
-    rotation_budget: int = 30_000,
 ) -> SpanVerdict:
     """One-sided spanning confirmation by sampled Hamilton cycles.
 
@@ -513,7 +518,7 @@ def confirm_spanning_sampled(
     cycle at a seed-derived position, makes at least
     `_CHAIN_MIN_ROTATIONS` Posa rotations with one end fixed, and closes
     the path once its tip sees that end.  A chain step that uses up
-    `rotation_budget` rotations drops the chain, and the next attempt is
+    `_ROTATION_BUDGET` rotations drops the chain, and the next attempt is
     a fresh draw again.  After `_CHAIN_PATIENCE` attempts in a row
     without a rank gain, the attempt is instead a fresh draw closing
     through the lowest edge that no cycle found so far uses, if any; each
@@ -536,11 +541,11 @@ def confirm_spanning_sampled(
     stale = 0  # attempts since the last rank gain
     while sampler.attempts < budget and sampler.rank < dim:
         if sampler.last is None:
-            gained = sampler.draw(rotation_budget)
+            gained = sampler.draw(_ROTATION_BUDGET)
         elif stale >= _CHAIN_PATIENCE and (edge := sampler.uncovered_edge()) is not None:
-            gained = sampler.draw(rotation_budget, edge)
+            gained = sampler.draw(_ROTATION_BUDGET, edge)
         else:
-            gained = sampler.chain(rotation_budget)
+            gained = sampler.chain(_ROTATION_BUDGET)
         stale = 0 if gained else stale + 1
         if sampler.successes == 0 and sampler.attempts >= _GIVE_UP_AFTER:
             break
@@ -571,7 +576,7 @@ def extract_witness(g: Graph, hamiltons: Sequence[HamiltonCycle]) -> WitnessR | 
             # Hamilton vector; re-verify rather than trust the algebra.
             if any(intersection_parity(vec, hc.vector) for hc in hamiltons):
                 raise RuntimeError("kernel vector pairs oddly with a Hamilton cycle")
-            return WitnessR(vec, True, True, False, vec.weight)
+            return WitnessR(vec, True, True, False)
     return None
 
 
@@ -593,9 +598,7 @@ def normalize_witness(g: Graph, r: WitnessR, mode: str = "hillclimb") -> Witness
     """
     if mode == "hillclimb":
         bits, _ = _hillclimb(g, r.vector.bits)
-        return dataclasses.replace(
-            r, vector=EdgeVector(bits, g.m), normalized=True,
-            size=bits.bit_count())
+        return dataclasses.replace(r, vector=EdgeVector(bits, g.m), normalized=True)
     if mode == "exact":
         if g.n > 24:
             raise ValueError("exact normalization is limited to n <= 24")
@@ -605,9 +608,7 @@ def normalize_witness(g: Graph, r: WitnessR, mode: str = "hillclimb") -> Witness
             if len(members) > 1:  # anchor the first member
                 bits = _coset_maximizer(bits, [g.star_bits(v) for v in members[1:]],
                                         (g.m + 7) // 8)
-        return dataclasses.replace(
-            r, vector=EdgeVector(bits, g.m), normalized=True,
-            size=bits.bit_count())
+        return dataclasses.replace(r, vector=EdgeVector(bits, g.m), normalized=True)
     raise ValueError(f"unknown mode {mode!r}")
 
 
@@ -671,32 +672,14 @@ def hillclimb_flip_count(g: Graph, r: WitnessR) -> int:
 def is_bipartition_form(g: Graph, r: EdgeVector) -> bool:
     """True iff r = E_G(A, B) for some partition V = A + B.
 
-    Equivalent to 2-coloring the constraint system where every r-edge
-    demands different sides and every other G-edge demands equal sides;
-    a final verification pass re-checks every edge against the coloring.
+    Grows the BFS forest whose sides split exactly the r-edges
+    (`graph.is_edge_cut`): every r-edge demands different sides and
+    every other G-edge equal ones.  It stops at the first edge that
+    contradicts the sides, and a final pass re-checks every edge.
     """
     if r.m != g.m:
         raise ValueError("vector over wrong universe")
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        queue = [s]
-        while queue:
-            u = queue.pop()
-            for w in g.neighbors(u):
-                want = side[u] ^ (1 if g.edge_id(u, w) in r else 0)
-                if side[w] < 0:
-                    side[w] = want
-                    queue.append(w)
-                elif side[w] != want:
-                    return False
-    for eid, (u, v) in enumerate(g.edges):
-        crosses = side[u] != side[v]
-        if crosses != (eid in r):
-            return False
-    return True
+    return is_edge_cut(g, r.bits)
 
 
 def witness_certificate(g: Graph, verdict: SpanVerdict) -> str:

@@ -25,10 +25,10 @@ from util import petersen, random_graph
 _real_run_trial = experiments._run_trial
 
 
-def _trial_failing_on_task_3(args):
-    if args[:2] == (0, 3):
+def _trial_failing_on_task_3(task):
+    if task[1:3] == (0, 3):
         raise RuntimeError("trial 3 failed")
-    return _real_run_trial(args)
+    return _real_run_trial(task)
 
 
 class TestThresholdP:
@@ -270,7 +270,7 @@ class TestRunExperiment:
     def _config(self, workers):
         return ExperimentConfig(
             cells=(CellSpec(n=11, f=2.0, trials=4), CellSpec(n=13, f=2.0, trials=3)),
-            master_seed=99, workers=workers, span_extra=10, rotation_budget=5_000)
+            master_seed=99, workers=workers, span_extra=10)
 
     def test_records_and_csv_roundtrip(self, tmp_path):
         out = tmp_path / "trials.csv"
@@ -293,7 +293,7 @@ class TestRunExperiment:
     def test_refutation_columns(self):
         config = ExperimentConfig(
             cells=(CellSpec(n=31, f=3.0, trials=2),), master_seed=5, workers=1,
-            span_extra=10, rotation_budget=20_000, with_refutation=True)
+            span_extra=10, with_refutation=True)
         records = run_experiment(config)
         for rec in records:
             assert rec.refutation_ok is not None
@@ -305,9 +305,8 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="trial 3 failed"):
             run_experiment(self._config(workers), out_path=str(out))
         rows = read_trials_csv(str(out))
-        want = [_real_run_trial(args) for args in [
-            (0, t, 11, threshold_p(11, 2.0), 99, 10, 5_000, False, False)
-            for t in range(3)]]
+        config = self._config(workers)
+        want = [_real_run_trial((config, 0, t, threshold_p(11, 2.0))) for t in range(3)]
         assert [(r.seed, r.verdict, r.rank) for r in rows] == \
             [(r.seed, r.verdict, r.rank) for r in want]
 

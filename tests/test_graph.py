@@ -12,7 +12,9 @@ from cyclespan.graph import (
     from_edge_list,
     from_edge_list_text,
     from_graph6,
+    bfs_forest,
     is_bipartite,
+    is_edge_cut,
     iter_bits,
     restrict,
     small_vertices,
@@ -20,7 +22,10 @@ from cyclespan.graph import (
     to_graph6,
 )
 
-from util import brute_shortest_path, graph_from_mask, random_graph
+from cyclespan.gf2 import cycle_space_basis
+
+from util import brute_shortest_path, coloring_is_bipartite, coloring_is_cut, \
+    forest_test_graphs, graph_from_mask, random_cut, random_graph, walk_cycle_space_basis
 
 
 def test_triangle_construction():
@@ -53,6 +58,15 @@ def test_k5_edge_ids_lexicographic():
     assert g.pair_of(9) == (3, 4)
 
 
+def test_edge_id_both_orders_and_errors():
+    g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for eid, (u, v) in enumerate(g.edges):
+        assert g.edge_id(u, v) == g.edge_id(v, u) == eid
+    for u, v in [(1, 1), (0, 2), (4, 1), (1, 5), (5, 1), (-1, 0), (0, -1), (-1, 3)]:
+        with pytest.raises(ValueError, match=rf"no edge \({u}, {v}\)"):
+            g.edge_id(u, v)
+
+
 def test_order_insensitive_construction():
     pairs = [(0, 1), (1, 2), (0, 2), (2, 3)]
     rng = random.Random(5)
@@ -62,7 +76,8 @@ def test_order_insensitive_construction():
         shuffled = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in shuffled]
         h = from_edge_list(4, shuffled)
         assert h == from_edge_list(4, pairs)
-        assert h.edge_index == from_edge_list(4, pairs).edge_index
+        assert [h.edge_id(u, v) for u, v in pairs] == \
+            [from_edge_list(4, pairs).edge_id(u, v) for u, v in pairs]
 
 
 def test_neighbors_ascending_from_shuffled_pairs():
@@ -176,11 +191,9 @@ class TestRestrict:
             keep = VertexSet.of(n, [v for v in range(n) if rng.random() < 0.7])
             drop = [e for e in range(g.m) if rng.random() < 0.2]
             res = restrict(g, keep, drop)
-            for new_eid, old_eid in enumerate(res.old_edge):
-                u, v = res.graph.pair_of(new_eid)
-                assert tuple(sorted((res.old_vertex[u], res.old_vertex[v]))) == g.pair_of(old_eid)
-                assert old_eid not in drop
-            assert res.old_edge == tuple(sorted(res.old_edge))
+            want = {(u, v) for e, (u, v) in enumerate(g.edges)
+                    if e not in drop and u in keep and v in keep}
+            assert {tuple(res.to_old_path(pair)) for pair in res.graph.edges} == want
             assert res.new_vertex == {old: new for new, old in enumerate(res.old_vertex)}
 
 
@@ -259,3 +272,44 @@ def test_is_bipartite():
     assert is_bipartite(Graph.cycle(6))
     assert not is_bipartite(Graph.cycle(5))
     assert is_bipartite(from_edge_list(3, []))
+
+
+class TestBfsForest:
+    """The forest-based traversals against the references in util."""
+
+    def test_cycle_space_basis_matches_walk(self):
+        for g in forest_test_graphs():
+            assert [z.bits for z in cycle_space_basis(g)] == walk_cycle_space_basis(g)
+
+    def test_is_bipartite_matches_coloring(self):
+        graphs = forest_test_graphs()
+        assert {is_bipartite(g) for g in graphs} == {True, False}
+        for g in graphs:
+            assert is_bipartite(g) == coloring_is_bipartite(g)
+
+    def test_cut_test_matches_coloring(self):
+        rng = random.Random(12)
+        for g in forest_test_graphs():
+            for _ in range(5):
+                cut = random_cut(rng, g)
+                assert is_edge_cut(g, cut) and coloring_is_cut(g, cut)
+                side, _ = bfs_forest(g, cut)
+                assert all((side[u] != side[v]) == (cut >> e & 1 == 1)
+                           for e, (u, v) in enumerate(g.edges))
+                bits = rng.getrandbits(g.m) if g.m else 0
+                assert is_edge_cut(g, bits) == coloring_is_cut(g, bits)
+                assert (bfs_forest(g, bits) is not None) == coloring_is_cut(g, bits)
+
+    def test_up_masks_are_tree_paths_to_the_root(self):
+        for g in forest_test_graphs():
+            side, up = bfs_forest(g, 0)
+            assert side == [0] * g.n
+            roots = {comp.to_list()[0] for comp in g.components()}
+            for v in range(g.n):
+                if v in roots:
+                    assert up[v] == 0
+                    continue
+                # One path edge at v, to a vertex whose path is the rest.
+                (e,) = iter_bits(up[v] & g.star_bits(v))
+                u = sum(g.pair_of(e)) - v
+                assert up[u] == up[v] ^ 1 << e

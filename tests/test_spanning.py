@@ -441,9 +441,8 @@ class TestConfirmSampled:
         monkeypatch.setattr(spanning._CycleSampler, "chain", chain)
         # K6 needs 4 extensions per draw, but a chain step needs more
         # rotations than the budget allows, so every chain step fails.
-        budget = spanning._CHAIN_MIN_ROTATIONS - 1
-        v = confirm_spanning_sampled(Graph.complete(6), budget=12, seed=0,
-                                     rotation_budget=budget)
+        monkeypatch.setattr(spanning, "_ROTATION_BUDGET", spanning._CHAIN_MIN_ROTATIONS - 1)
+        v = confirm_spanning_sampled(Graph.complete(6), budget=12, seed=0)
         assert calls == ["draw", "chain"] * 6
         assert v.rank_reached == len(v.certificate) > 0
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cyclespan import hamfinder
 from cyclespan.gf2 import EdgeVector, intersection_parity
 from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.hamfinder import disjoint_pair_paths
@@ -99,10 +100,11 @@ class TestDisjointPairPaths:
         with pytest.raises(ValueError):
             disjoint_pair_paths(g, [(0, 1), (1, 2)])
 
-    def test_impossible_instance_returns_none(self):
+    def test_impossible_instance_returns_none(self, monkeypatch):
         # On C4, the pairs (0,2) and (1,3) cannot be joined disjointly.
         g = Graph.cycle(4)
-        assert disjoint_pair_paths(g, [(0, 2), (1, 3)], retries=50) is None
+        monkeypatch.setattr(hamfinder, "_LINKAGE_RETRIES", 50)
+        assert disjoint_pair_paths(g, [(0, 2), (1, 3)]) is None
 
     def test_empty_pairs(self):
         assert disjoint_pair_paths(Graph.complete(4), []) == []

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 
 from cyclespan.gf2 import EdgeVector
 from cyclespan.graph import Graph, from_edge_list
@@ -186,6 +187,129 @@ def all_bipartition_cuts(g: Graph) -> set[int]:
                 cut |= 1 << eid
         cuts.add(cut)
     return cuts
+
+
+def walk_cycle_space_basis(g: Graph) -> list[int]:
+    """Fundamental cycles as bit masks, by parent pointers and depths.
+
+    BFS from the lowest vertex of each component, neighbours ascending;
+    each non-tree edge, in ascending id, is closed by walking both ends
+    up to their lowest common ancestor.
+    """
+    n = g.n
+    parent = [-1] * n
+    parent_eid = [-1] * n
+    depth = [0] * n
+    seen = [False] * n
+    tree_mask = 0
+    for s in range(n):
+        if seen[s]:
+            continue
+        seen[s] = True
+        queue = [s]
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            for w in g.neighbors(u):
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = u
+                    parent_eid[w] = g.edge_id(u, w)
+                    depth[w] = depth[u] + 1
+                    tree_mask |= 1 << parent_eid[w]
+                    queue.append(w)
+    out = []
+    for eid, (u, v) in enumerate(g.edges):
+        if tree_mask >> eid & 1:
+            continue
+        bits = 1 << eid
+        a, b = u, v
+        while depth[a] > depth[b]:
+            bits ^= 1 << parent_eid[a]
+            a = parent[a]
+        while depth[b] > depth[a]:
+            bits ^= 1 << parent_eid[b]
+            b = parent[b]
+        while a != b:
+            bits ^= 1 << parent_eid[a]
+            bits ^= 1 << parent_eid[b]
+            a = parent[a]
+            b = parent[b]
+        out.append(bits)
+    return out
+
+
+def coloring_is_bipartite(g: Graph) -> bool:
+    """Two-colouring by a BFS queue; False at the first monochrome edge."""
+    color = [-1] * g.n
+    for s in range(g.n):
+        if color[s] >= 0:
+            continue
+        color[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w in g.neighbors(u):
+                if color[w] < 0:
+                    color[w] = color[u] ^ 1
+                    queue.append(w)
+                elif color[w] == color[u]:
+                    return False
+    return True
+
+
+def coloring_is_cut(g: Graph, bits: int) -> bool:
+    """Whether bits = E(A, B), by a depth-first two-colouring.
+
+    A bits-edge demands different sides and any other edge equal ones;
+    every edge is checked again against the final colouring.
+    """
+    side = [-1] * g.n
+    for s in range(g.n):
+        if side[s] >= 0:
+            continue
+        side[s] = 0
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for w in g.neighbors(u):
+                want = side[u] ^ (bits >> g.edge_id(u, w) & 1)
+                if side[w] < 0:
+                    side[w] = want
+                    stack.append(w)
+                elif side[w] != want:
+                    return False
+    return all((side[u] != side[v]) == (bits >> eid & 1 == 1)
+               for eid, (u, v) in enumerate(g.edges))
+
+
+def forest_test_graphs() -> list[Graph]:
+    """60 seeded graphs with n = 0..40, then K_0..K_8 and C_3..C_10.
+
+    Every third seeded graph has no edge between its two halves, and the
+    sparse ones leave vertices isolated.
+    """
+    rng = random.Random(2026)
+    graphs = []
+    for k in range(60):
+        n = k * 40 // 59
+        p = rng.choice((0.03, 0.08, 0.15, 0.4, 0.8))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+                 if rng.random() < p and (k % 3 or (i < n // 2) == (j < n // 2))]
+        graphs.append(from_edge_list(n, pairs))
+    graphs += [Graph.complete(n) for n in range(9)]
+    graphs += [Graph.cycle(n) for n in range(3, 11)]
+    return graphs
+
+
+def random_cut(rng: random.Random, g: Graph) -> int:
+    """E(A, B) for a random vertex set A, as the XOR of A's stars."""
+    bits = 0
+    for v in range(g.n):
+        if rng.random() < 0.5:
+            bits ^= g.star_bits(v)
+    return bits
 
 
 def random_switcher(seed: int, k: int | None = None, max_interior: int = 3):
