@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 
@@ -241,12 +241,15 @@ def edge_subgraph_adj(g: Graph, edge_bits: int) -> list[int]:
 
 
 def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None,
-             rng: random.Random | None = None) -> list[int] | None:
+             rng: random.Random | None = None,
+             adj: list[int] | None = None) -> list[int] | None:
     """Shortest path from x to y avoiding forbidden vertices, or None.
 
     Ties are broken by expanding neighbors in ascending id order, so the
     returned path is deterministic.  With `rng`, each dequeued vertex's
     full neighbor list is shuffled by it before the expansion instead.
+    With `adj`, a subgraph's neighbour masks, it searches that subgraph,
+    reading each mask in ascending order like a copy's neighbour tuples.
     """
     if not (0 <= x < g.n and 0 <= y < g.n):
         raise ValueError("endpoint out of range")
@@ -259,7 +262,7 @@ def bfs_path(g: Graph, x: int, y: int, forbidden: VertexSet | None = None,
     queue = deque([x])
     while queue:
         u = queue.popleft()
-        nbrs = g.neighbors(u)
+        nbrs = g.neighbors(u) if adj is None else iter_bits(adj[u])
         if rng is not None:
             nbrs = list(nbrs)
             rng.shuffle(nbrs)
@@ -332,9 +335,6 @@ class Restriction:
 
     graph: Graph
     old_vertex: tuple[int, ...]  # new vertex id -> old vertex id
-    # old vertex id -> new vertex id; derived from old_vertex, so it takes
-    # no part in equality or hashing.
-    new_vertex: dict[int, int] = field(compare=False, repr=False)
 
     def to_old_path(self, path: Iterable[int]) -> list[int]:
         return [self.old_vertex[v] for v in path]
@@ -361,7 +361,7 @@ def restrict(g: Graph, keep_vertices: VertexSet, drop_edges: Iterable[int] = ())
             continue
         if u in new_of and v in new_of:
             pairs.append((new_of[u], new_of[v]))
-    return Restriction(Graph(len(old_vertex), pairs), old_vertex, new_of)
+    return Restriction(Graph(len(old_vertex), pairs), old_vertex)
 
 
 # ---------------------------------------------------------------------------

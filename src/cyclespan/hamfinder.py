@@ -17,10 +17,9 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .graph import Graph, VertexSet, bfs_path, iter_bits, mask_of, restrict, \
-    small_vertices
+from .graph import Graph, VertexSet, bfs_path, iter_bits, mask_of, small_vertices
 from .seeds import derive_seed
 
 # Rotation-extension budget of each closing path in hamilton_path_protected.
@@ -28,6 +27,14 @@ _CLOSING_BUDGET = 300_000
 # Shuffled routing orders disjoint_pair_paths tries before it gives up.
 _LINKAGE_RETRIES = 200
 _SPLIT_RETRIES = 2_000
+
+
+def _within(g: Graph, within: VertexSet | None) -> VertexSet:
+    if within is None:
+        return VertexSet.full(g.n)
+    if within.n != g.n:
+        raise ValueError("vertex set over wrong universe")
+    return within
 
 
 def _random_set_bit(rng: random.Random, mask: int) -> int:
@@ -74,6 +81,7 @@ def rotation_extension_path(
     budget: int = 1_000_000,
     seed: int = 0,
     counter: StepCounter | None = None,
+    within: VertexSet | None = None,
 ) -> list[int] | None:
     """Hamilton path from x to y by randomized rotation-extension.
 
@@ -83,14 +91,17 @@ def rotation_extension_path(
     the search re-anchors from y and works toward x, alternating in
     slices of budget/10.  The budget counts extensions plus rotations;
     the steps spent are added to `counter` when one is given.
+    With `within`, the search runs inside that vertex mask of g, drawing
+    candidates in ascending order, and gives the path of g[within] that
+    it would give on the copy `restrict(g, within)`, mapped back.
     Output is verified before return; None only means budget exhausted.
     """
-    n = g.n
-    if not (0 <= x < n and 0 <= y < n):
-        raise ValueError("endpoint out of range")
+    within = _within(g, within)
+    if x not in within or y not in within:
+        raise ValueError("endpoint outside the vertex set")
     if x == y:
         raise ValueError("endpoints must differ")
-    if n == 2:
+    if len(within) == 2:
         return [x, y] if g.has_edge(x, y) else None
     rng = random.Random(seed)
     slice_budget = max(1_000, budget // 10)
@@ -99,7 +110,8 @@ def rotation_extension_path(
     path = None
     while path is None and spent < budget:
         here = min(slice_budget, budget - spent)
-        path, used = _posa_grow(g, anchor, target, here, rng)
+        path, used = _posa_grow(g._adj_bits, within.mask & ~(1 << target),
+                                anchor, target, here, rng)
         spent += used
         if path is None:
             anchor, target = target, anchor
@@ -109,37 +121,35 @@ def rotation_extension_path(
         return None
     if anchor != x:
         path.reverse()
-    verify_hamilton_path(g, path, x, y)
+    verify_hamilton_path(g, path, x, y, within)
     return path
 
 
-def _posa_grow(g: Graph, a: int, t: int, budget: int, rng: random.Random):
-    """Grow a..tip over V-{t}; succeed once all covered and tip sees t."""
-    adj = g._adj_bits
+def _posa_grow(adj: list[int], goal: int, a: int, t: int, budget: int, rng: random.Random):
+    """Grow a..tip over the mask goal (t not in it); succeed once all covered and tip sees t."""
     t_bit = 1 << t
-    goal = ((1 << g.n) - 1) & ~t_bit
-    path = [a]
-    on = 1 << a
+    start = goal & ~(1 << a)
+    path, free = [a], start
     steps = 0
     while steps < budget:
         tip = path[-1]
         steps += 1
-        if on == goal:
+        if not free:
             if adj[tip] & t_bit:
                 return path + [t], steps - 1
             # Prefer rotations whose new tip closes onto t.
-            if not _rotate(adj, path, on, rng, t_bit):
-                path, on = [a], 1 << a
+            if not _rotate(adj, path, goal, rng, t_bit):
+                path, free = [a], start
             continue
-        ext = adj[tip] & ~on & ~t_bit
+        ext = adj[tip] & free
         if ext:
             w = _random_set_bit(rng, ext)
             path.append(w)
-            on |= 1 << w
-        elif not _rotate(adj, path, on, rng):
+            free ^= 1 << w
+        elif not _rotate(adj, path, goal & ~free, rng):
             if len(path) == 1:
                 return None, steps
-            path, on = [a], 1 << a
+            path, free = [a], start
     return None, steps
 
 
@@ -225,6 +235,8 @@ def disjoint_pair_paths(
     g: Graph,
     pairs: list[tuple[int, int]],
     seed: int = 0,
+    within: VertexSet | None = None,
+    drop: Iterable[tuple[int, int]] = (),
 ) -> list[list[int]] | None:
     """Pairwise vertex-disjoint paths, the i-th running from a_i to b_i.
 
@@ -234,17 +246,25 @@ def disjoint_pair_paths(
     failure, up to `_LINKAGE_RETRIES` shuffles.  Deterministic given the
     seed.  A None return is a search failure, not a nonexistence
     certificate.
+
+    The paths run in g[within] minus the edges `drop`, given as vertex
+    pairs.  Its neighbour masks are built once and read in ascending
+    order, so the paths are those found on the `restrict` copy, mapped back.
     """
-    ends: list[int] = []
-    for a, b in pairs:
-        ends.extend((a, b))
+    within = _within(g, within)
+    ends = [v for pair in pairs for v in pair]
     if len(set(ends)) != len(ends):
         raise ValueError("pair endpoints must be pairwise distinct")
     for v in ends:
-        if not 0 <= v < g.n:
-            raise ValueError(f"endpoint {v} out of range")
+        if v not in within:
+            raise ValueError(f"endpoint {v} outside the vertex set")
     if not pairs:
         return []
+    keep = within.mask
+    adj = [a & keep if keep >> v & 1 else 0 for v, a in enumerate(g._adj_bits)]
+    for u, v in drop:
+        adj[u] &= ~(1 << v)
+        adj[v] &= ~(1 << u)
     rng = random.Random(seed)
     t = len(pairs)
     end_mask = mask_of(ends)
@@ -258,7 +278,7 @@ def disjoint_pair_paths(
             a, b = pairs[i]
             # Block other pairs' endpoints and everything already used.
             blocked = (used | end_mask) & ~(1 << a) & ~(1 << b)
-            path = bfs_path(g, a, b, VertexSet(g.n, blocked), rng)
+            path = bfs_path(g, a, b, VertexSet(g.n, blocked), rng, adj)
             if path is None:
                 ok = False
                 break
@@ -267,12 +287,12 @@ def disjoint_pair_paths(
             routed[i] = path
         if ok:
             out = [routed[i] for i in range(t)]
-            _verify_disjoint(g, pairs, out)
+            _verify_disjoint(adj, pairs, out)
             return out
     return None
 
 
-def _verify_disjoint(g: Graph, pairs, paths) -> None:
+def _verify_disjoint(adj: list[int], pairs, paths) -> None:
     seen: set[int] = set()
     for (a, b), p in zip(pairs, paths):
         if p[0] != a or p[-1] != b:
@@ -280,7 +300,7 @@ def _verify_disjoint(g: Graph, pairs, paths) -> None:
         if len(set(p)) != len(p):
             raise RuntimeError("path revisits a vertex")
         for u, v in zip(p, p[1:]):
-            if not g.has_edge(u, v):
+            if not adj[u] >> v & 1:
                 raise RuntimeError("path uses a non-edge")
         for v in p:
             if v in seen:
@@ -312,14 +332,30 @@ class SplitRequest:
         return cls(y, size // 2, size - size // 2)
 
 
-def split_feasible(g: Graph, req: SplitRequest) -> bool:
-    """Whether whole degrees can meet both floors of `lll_split` at every vertex."""
+def _split_windows(g: Graph, req: SplitRequest) -> list[tuple[int, int, int]]:
+    """(N(v) & Y, lo, hi) for each v with d = deg(v, Y) >= 1, narrowest first.
+
+    Both floors of `lll_split` hold at v exactly when lo <= deg(v, A) <= hi,
+    with lo = ceil(a d / 3|Y|) and hi = d - ceil(b d / 3|Y|).
+    """
     y_mask, size_y = req.y_vertices.mask, len(req.y_vertices)
-    for v in range(g.n):
-        d = (g.adj_bits(v) & y_mask).bit_count()
-        if -(-req.a * d // (3 * size_y)) - (-req.b * d // (3 * size_y)) > d:
-            return False
-    return True
+    windows = []
+    for adj in g._adj_bits:
+        ny = adj & y_mask
+        if ny:
+            d = ny.bit_count()
+            windows.append((ny, -(-req.a * d // (3 * size_y)),
+                            d + (-req.b * d // (3 * size_y))))
+    windows.sort(key=lambda w: w[2] - w[1])
+    return windows
+
+
+def split_feasible(g: Graph, req: SplitRequest) -> bool:
+    """Whether whole degrees can meet both floors of `lll_split` at every vertex.
+
+    That is, whether every window of `_split_windows` is non-empty.
+    """
+    return all(lo <= hi for _, lo, hi in _split_windows(g, req))
 
 
 def lll_split(
@@ -337,31 +373,21 @@ def lll_split(
     B split deg(v, Y) = d into whole degrees, so v needs
     ceil(a d / 3|Y|) + ceil(b d / 3|Y|) <= d, which fails exactly when
     d = 1.  Such a request (see `split_feasible`) returns None before any
-    draw.
+    draw.  The floors become one window for deg(v, A) per vertex, computed
+    once, and each draw tests the narrowest windows first.
     """
-    if not split_feasible(g, req):
+    windows = _split_windows(g, req)
+    if not all(lo <= hi for _, lo, hi in windows):
         return None
-    y_mask = req.y_vertices.mask
-    size_y = len(req.y_vertices)
     members = req.y_vertices.to_list()
-    a, b = req.a, req.b
-    relevant = [v for v in range(g.n) if g.adj_bits(v) & y_mask]
     rng = random.Random(seed)
     for _ in range(max(1, retries)):
-        a_mask = mask_of(rng.sample(members, a))
-        b_mask = y_mask & ~a_mask
-        ok = True
-        for v in relevant:
-            adj = g.adj_bits(v)
-            deg_y = (adj & y_mask).bit_count()
-            if 3 * size_y * (adj & a_mask).bit_count() < a * deg_y:
-                ok = False
+        a_mask = mask_of(rng.sample(members, req.a))
+        for ny, lo, hi in windows:
+            if not lo <= (ny & a_mask).bit_count() <= hi:
                 break
-            if 3 * size_y * (adj & b_mask).bit_count() < b * deg_y:
-                ok = False
-                break
-        if ok:
-            return VertexSet(g.n, a_mask), VertexSet(g.n, b_mask)
+        else:
+            return VertexSet(g.n, a_mask), VertexSet(g.n, req.y_vertices.mask & ~a_mask)
     return None
 
 
@@ -415,19 +441,12 @@ def hamilton_path_protected(
             raise ValueError(
                 f"low-degree vertex {u} has fewer than 2 neighbors in S - {{x, y}}")
 
-    def _closing_path(sub_keep: VertexSet, fx: int, fy: int, sd: int) -> list[int] | None:
-        res = restrict(g, sub_keep)
-        idx = res.new_vertex
-        p = rotation_extension_path(res.graph, idx[fx], idx[fy],
-                                    budget=_CLOSING_BUDGET, seed=sd)
-        return None if p is None else res.to_old_path(p)
-
     if not s_small:
-        p = _closing_path(s_vertices, x, y, derive_seed(seed, "close"))
+        p = rotation_extension_path(g, x, y, budget=_CLOSING_BUDGET,
+                                    seed=derive_seed(seed, "close"), within=s_vertices)
         if p is None:
             return ProtectedPathResult(None, "closing")
-        verify_hamilton_path(g, p, x, y, s_vertices)
-        return ProtectedPathResult(tuple(p))
+        return ProtectedPathResult(tuple(p))  # verified inside S by the search
 
     rng = random.Random(derive_seed(seed, "escort"))
     t = len(s_small)
@@ -447,31 +466,27 @@ def hamilton_path_protected(
     s1, s2 = halves
 
     # Connector pairs: (y_t, y), then (x_i, y_{i-1}) for i = 2..t.
-    link_old = [(ys[t - 1], y)] + [(xs[i], ys[i - 1]) for i in range(1, t)]
-    hub = s1.mask | 1 << y
-    for a2, b2 in link_old:
-        hub |= 1 << a2 | 1 << b2
-    res1 = restrict(g, VertexSet(g.n, hub & ~(1 << x) & ~(1 << xs[0])))
-    idx1 = res1.new_vertex
-    try:
-        pairs1 = [(idx1[a2], idx1[b2]) for a2, b2 in link_old]
-    except KeyError:
+    link_pairs = [(ys[t - 1], y)] + [(xs[i], ys[i - 1]) for i in range(1, t)]
+    ends = mask_of(itertools.chain(*link_pairs))
+    hub = (s1.mask | ends) & ~(1 << x) & ~(1 << xs[0])
+    if ends & ~hub:
         return ProtectedPathResult(None, "linkage")
-    routed = disjoint_pair_paths(res1.graph, pairs1, seed=derive_seed(seed, "link"))
-    if routed is None:
+    links = disjoint_pair_paths(g, link_pairs, seed=derive_seed(seed, "link"),
+                                within=VertexSet(g.n, hub))
+    if links is None:
         return ProtectedPathResult(None, "linkage")
-    links = [res1.to_old_path(p) for p in routed]
 
     used = set(itertools.chain(s_small, *links))
     w_keep = VertexSet(g.n, s_mask & ~mask_of(used))
     if x not in w_keep or xs[0] not in w_keep:
         return ProtectedPathResult(None, "closing")
-    closing = _closing_path(w_keep, x, xs[0], derive_seed(seed, "close"))
+    closing = rotation_extension_path(g, x, xs[0], budget=_CLOSING_BUDGET,
+                                      seed=derive_seed(seed, "close"), within=w_keep)
     if closing is None:
         return ProtectedPathResult(None, "closing")
 
     # Assemble x .. x_1, u_1, y_1, P_2 .. x_2, u_2, y_2, ..., y_t, P_1 .. y.
-    # links[i] runs from the first vertex of link_old[i] to its second.
+    # links[i] runs from the first vertex of link_pairs[i] to its second.
     full_path = list(closing)
     for i in range(t):
         full_path += [s_small[i], ys[i]]

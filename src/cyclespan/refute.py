@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from .gf2 import EdgeVector, intersection_parity
-from .graph import Graph, VertexSet, mask_of, restrict, small_vertices
+from .graph import Graph, VertexSet, mask_of, small_vertices
 from .hamfinder import SplitRequest, disjoint_pair_paths, hamilton_path_protected, \
     lll_split, split_feasible
 from .seeds import derive_seed
@@ -126,26 +126,20 @@ def build_switcher(
     for u in small_set:
         z_mask |= g.adj_bits(u)
     side_b = (halves[1].mask & ~z_mask) | mask_of(vp)
-    drop = [g.edge_id(u, v) for u, v in zip(cycle, cycle[1:] + cycle[:1])]
-    for v, w in zip(cycle, vp):
-        if v != w and g.has_edge(v, w):
-            drop.append(g.edge_id(v, w))
-    keep = VertexSet(n, side_b & ~(1 << vp[0]) & ~(1 << vp[k]))
-    sub = restrict(g, keep, drop)
-    idx = sub.new_vertex
-    try:
-        pairs = [(idx[vp[j]], idx[vp[two_k - j]]) for j in range(1, k)]
-    except KeyError:
+    drop = list(zip(cycle, cycle[1:] + cycle[:1]))
+    drop += [(v, w) for v, w in zip(cycle, vp) if v != w]
+    keep = side_b & ~(1 << vp[0]) & ~(1 << vp[k])
+    pairs = [(vp[j], vp[two_k - j]) for j in range(1, k)]
+    if mask_of(itertools.chain(*pairs)) & ~keep:
         return _failed("S2b", "escort missing from link side", True)
-    routed = disjoint_pair_paths(sub.graph, pairs,
-                                 seed=derive_seed(seed, "link"))
+    routed = disjoint_pair_paths(g, pairs, seed=derive_seed(seed, "link"),
+                                 within=VertexSet(n, keep), drop=drop)
     if routed is None:
         return _failed("S2b", "vertex-disjoint linkage failed", True)
 
     # Each routed link runs from vp[j] to vp[2k - j].
     paths = []
-    for j, link in enumerate(routed, start=1):
-        full = sub.to_old_path(link)
+    for j, full in enumerate(routed, start=1):
         if vp[j] != cycle[j]:
             full = [cycle[j]] + full
         if vp[two_k - j] != cycle[two_k - j]:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 from .gf2 import EdgeVector, intersection_parity
@@ -183,19 +182,24 @@ def _small_adjacency_ok(g: Graph, small: VertexSet, cycle: tuple[int, ...]) -> b
 
 
 def _parity_dist(adj: list[int], n: int, src: int) -> list[list[int]]:
-    """Shortest walk lengths to src split by parity."""
+    """Shortest walk lengths to src split by parity.
+
+    Walks of length d reach exactly the states (w, d mod 2), so a layer
+    BFS ORs the new states' neighbour masks, with one seen mask a parity.
+    """
     inf = n * n + 7
     dist = [[inf, inf] for _ in range(n)]
     dist[src][0] = 0
-    queue = deque([(src, 0)])
-    while queue:
-        v, par = queue.popleft()
-        d = dist[v][par] + 1
-        np = par ^ 1
-        for w in iter_bits(adj[v]):
-            if dist[w][np] > d:
-                dist[w][np] = d
-                queue.append((w, np))
+    seen, frontier, d = [1 << src, 0], 1 << src, 0
+    while frontier:
+        d += 1
+        reach = 0
+        for v in iter_bits(frontier):
+            reach |= adj[v]
+        frontier = reach & ~seen[d & 1]
+        seen[d & 1] |= frontier
+        for w in iter_bits(frontier):
+            dist[w][d & 1] = d
     return dist
 
 

@@ -3,8 +3,8 @@
 `perfbench/verify.py` re-checks every op of the benchmark with code that
 shares nothing with the package, and the benchmark exits 3 on the first
 violation.  These tests load it by path and put the same checks on the
-exact and sampled deciders, so an output the benchmark would refuse
-fails here first.
+exact and sampled deciders and on the refutation, so an output the
+benchmark would refuse fails here first.
 """
 
 import importlib.util
@@ -13,7 +13,8 @@ from pathlib import Path
 import pytest
 
 from cyclespan import spanning
-from cyclespan.experiments import ModelParams, sample_gnp
+from cyclespan.experiments import ModelParams, refutation_pipeline, sample_gnp, \
+    synthetic_witness
 
 VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
 # The verdicts each workload's check allows (perfbench/workloads.py).
@@ -52,3 +53,17 @@ def test_sampled_confirmer_passes_bench_verify(verify):
         verdict = spanning.confirm_spanning_sampled(
             g, budget=spanning.cycle_space_dim(g) + 50, seed=seed)
         verify.check_verdict(verify.facts_of(g), verdict, SPAN_ALLOWED)
+
+
+def test_refutation_passes_bench_verify(verify):
+    refuted = 0
+    for seed in range(8):
+        g = sample_gnp(ModelParams(n=101, f=3, seed=seed))
+        wit = synthetic_witness(g, seed)
+        if wit is None:
+            continue
+        res = refutation_pipeline(g, wit, seed, enumeration_fallback=False)
+        if res.ok:
+            verify.check_refutation(verify.facts_of(g), wit.vector.bits, res.cycle)
+            refuted += 1
+    assert refuted >= 6

@@ -194,7 +194,6 @@ class TestRestrict:
             want = {(u, v) for e, (u, v) in enumerate(g.edges)
                     if e not in drop and u in keep and v in keep}
             assert {tuple(res.to_old_path(pair)) for pair in res.graph.edges} == want
-            assert res.new_vertex == {old: new for new, old in enumerate(res.old_vertex)}
 
 
 class TestGraph6:

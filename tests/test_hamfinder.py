@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -15,7 +16,7 @@ from cyclespan.hamfinder import (
     rotation_extension_path,
 )
 
-from util import mask_rotate_cycle, random_graph
+from util import loop_lll_split, mask_rotate_cycle, random_graph, restrict_closing_path
 
 
 class TestRotationExtension:
@@ -58,6 +59,52 @@ class TestRotationExtension:
     def test_two_vertex_graph(self):
         g = from_edge_list(2, [(0, 1)])
         assert rotation_extension_path(g, 0, 1) == [0, 1]
+
+
+class TestRotationExtensionWithin:
+    def _cases(self):
+        """Seeded graphs, a vertex set, two of its vertices, a budget and a seed."""
+        rng = random.Random(21)
+        for t in range(120):
+            n = rng.randint(3, 40)
+            g = random_graph(rng, n, rng.uniform(0.1, 0.8))
+            within = VertexSet.of(n, [v for v in range(n) if rng.random() < rng.uniform(0.3, 1)])
+            if len(within) < 2:
+                continue
+            x, y = rng.sample(within.to_list(), 2)
+            yield g, within, x, y, rng.choice((50, 3_000, 20_000)), t
+
+    def test_matches_restricted_copy(self):
+        found = cut_off = 0
+        for g, within, x, y, budget, seed in self._cases():
+            counter = StepCounter()
+            got = rotation_extension_path(g, x, y, budget=budget, seed=seed,
+                                          counter=counter, within=within)
+            want, steps = restrict_closing_path(g, within, x, y, budget, seed)
+            assert got == want
+            assert counter.steps == steps
+            found += got is not None
+            comp = next(c for c in Graph(g.n, [e for e in g.edges if e[0] in within
+                                               and e[1] in within]).components() if x in c)
+            if y not in comp:
+                assert got is None
+                cut_off += 1
+        assert found >= 20 and cut_off >= 5
+
+    def test_two_vertex_set(self):
+        g = from_edge_list(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
+        assert rotation_extension_path(g, 3, 2, within=VertexSet.of(5, [2, 3])) == [3, 2]
+        assert rotation_extension_path(g, 1, 3, within=VertexSet.of(5, [1, 3])) is None
+        assert restrict_closing_path(g, VertexSet.of(5, [1, 3]), 1, 3, 1_000, 0) == (None, 0)
+
+    def test_endpoint_outside_set_rejected(self):
+        within = VertexSet.of(6, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="outside"):
+            rotation_extension_path(Graph.complete(6), 0, 4, within=within)
+        with pytest.raises(ValueError, match="outside"):
+            rotation_extension_path(Graph.complete(6), 5, 1, within=within)
+        with pytest.raises(ValueError, match="universe"):
+            rotation_extension_path(Graph.complete(6), 0, 1, within=VertexSet.full(7))
 
 
 class TestRotateCycle:
@@ -244,6 +291,28 @@ class TestLllSplit:
                 assert not _floors_hold(g, y.mask, a_mask, a)
         assert fired >= 5
 
+    def test_matches_per_vertex_loop(self):
+        # Splits of seeded Y at retries=5: infeasible requests, feasible ones
+        # whose five draws all fail, and ones that succeed must all agree.
+        rng = random.Random(8)
+        kinds = {"infeasible": 0, "ran out": 0, "split": 0}
+        for t in range(400):
+            n = rng.randint(4, 40)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.7))
+            members = [v for v in range(n) if rng.random() < 0.6]
+            if len(members) < 2:
+                continue
+            a = rng.randint(1, len(members) - 1)
+            req = SplitRequest(VertexSet.of(n, members), a, len(members) - a)
+            got = lll_split(g, req, retries=5, seed=t)
+            want = loop_lll_split(g, req, retries=5, seed=t)
+            assert (got and (got[0].mask, got[1].mask)) == want
+            if not hamfinder.split_feasible(g, req):
+                kinds["infeasible"] += 1
+            else:
+                kinds["ran out" if got is None else "split"] += 1
+        assert min(kinds.values()) >= 10, kinds
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             SplitRequest(VertexSet.full(4), 1, 2)
@@ -312,3 +381,40 @@ class TestHamiltonPathProtected:
         s = VertexSet.of(9, [0, 2, 4, 6, 8])
         res = hamilton_path_protected(g, s, 0, 8, seed=1)
         assert res.ok and sorted(res.path) == [0, 2, 4, 6, 8]
+
+
+def _sheltered_calls():
+    """Seeded G(61, p) with three vertices declared low-degree, and the endpoints."""
+    rng = random.Random(61)
+    for t in range(200):
+        g = random_graph(rng, 61, rng.uniform(0.08, 0.3))
+        x, y, *small = rng.sample(range(61), 5)
+        yield t, g, x, y, VertexSet.of(61, small)
+
+
+def test_sheltered_path_golden():
+    # Pins the escort, split, hub-linkage and closing stages, which the
+    # refutation's golden rows never reach at n = 101 (no low-degree
+    # vertex there): ten trials that succeed and some that stop at each stage.
+    rows = []
+    for t, g, x, y, small in _sheltered_calls():
+        if t not in SHELTERED_STAGES:
+            continue
+        try:
+            res = hamilton_path_protected(g, VertexSet.full(61), x, y, seed=t, small=small)
+        except ValueError as exc:
+            rows.append((t, "ValueError", str(exc)))
+            assert SHELTERED_STAGES[t] == "ValueError"
+            continue
+        assert res.failed_stage == SHELTERED_STAGES[t]
+        rows.append((t, res.path, res.failed_stage))
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == SHELTERED_ROWS
+
+
+SHELTERED_STAGES = {
+    **dict.fromkeys((0, 1, 2, 4, 5, 7, 9, 11, 12, 14)),
+    3: "split", 6: "split", 8: "ValueError", 123: "escort",
+    118: "linkage", 156: "linkage", 199: "linkage",
+    10: "closing", 93: "closing", 133: "closing",
+}
+SHELTERED_ROWS = "1c6c296845ecb9bd"

@@ -1,21 +1,23 @@
 import json
 import math
+import random
 
 import pytest
 
 from cyclespan import hamfinder
 from cyclespan.gf2 import EdgeVector, intersection_parity
-from cyclespan.graph import Graph, VertexSet, from_edge_list
+from cyclespan.graph import Graph, VertexSet, edge_subgraph_adj, from_edge_list
 from cyclespan.hamfinder import disjoint_pair_paths
 from cyclespan.switcher import (
     ParitySwitcher,
+    _parity_dist,
     find_switcher_cycle,
     hamilton_paths_of_switcher,
     switcher_certificate,
     switcher_cycle_cap,
 )
 
-from util import random_switcher
+from util import deque_parity_dist, random_graph, random_switcher, restrict_pair_paths
 
 
 class TestFindSwitcherCycle:
@@ -113,6 +115,72 @@ class TestDisjointPairPaths:
         g = Graph.complete(9)
         pairs = [(0, 8), (1, 7), (2, 6)]
         assert disjoint_pair_paths(g, pairs, seed=4) == disjoint_pair_paths(g, pairs, seed=4)
+
+
+class TestDisjointPairPathsWithin:
+    def test_matches_restricted_copy(self):
+        # Seeded graphs, a vertex set holding the terminals, and dropped
+        # pairs that are mostly edges on the routed side.
+        rng = random.Random(31)
+        linked = failed = dropped = 0
+        for t in range(150):
+            n = rng.randint(6, 40)
+            g = random_graph(rng, n, rng.uniform(0.08, 0.5))
+            within = VertexSet.of(n, [v for v in range(n) if rng.random() < 0.75])
+            if len(within) < 4:
+                continue
+            ends = rng.sample(within.to_list(), 2 * rng.randint(1, min(4, len(within) // 2)))
+            pairs = list(zip(ends[::2], ends[1::2]))
+            inside = [e for e in g.edges if e[0] in within and e[1] in within]
+            drop = rng.sample(inside, min(len(inside), rng.randint(0, 6)))
+            drop += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2))]
+            got = hamfinder.disjoint_pair_paths(g, pairs, seed=t, within=within, drop=drop)
+            assert got == restrict_pair_paths(g, pairs, t, within, drop)
+            if got is None:
+                failed += 1
+                continue
+            linked += 1
+            dropped += any({u, v} == set(e) for e in drop for p in got
+                           for u, v in zip(p, p[1:]))
+        assert linked >= 30 and failed >= 10
+        assert dropped == 0
+
+    def test_endpoint_outside_set_rejected(self):
+        within = VertexSet.of(6, [0, 1, 2, 3])
+        with pytest.raises(ValueError, match="outside"):
+            disjoint_pair_paths(Graph.complete(6), [(0, 1), (2, 4)], within=within)
+        with pytest.raises(ValueError, match="outside"):
+            disjoint_pair_paths(Graph.complete(6), [(5, 1)], within=within)
+
+    def test_dropped_edge_is_not_used(self):
+        g = Graph.cycle(6)
+        assert disjoint_pair_paths(g, [(0, 1)], drop=[(1, 0)]) == [[0, 5, 4, 3, 2, 1]]
+        assert disjoint_pair_paths(g, [(0, 1)], within=VertexSet.of(6, [0, 1, 2, 3]),
+                                   drop=[(0, 1)]) is None
+
+
+class TestParityDist:
+    def test_matches_queue_bfs(self):
+        # r-subgraphs of seeded graphs: random edge subsets (often
+        # disconnected), bipartite ones, and whole graphs.
+        rng = random.Random(41)
+        bipartite = 0
+        for t in range(150):
+            n = rng.randint(1, 30)
+            g = random_graph(rng, n, rng.uniform(0.05, 0.6))
+            kind = t % 3
+            if kind == 0:
+                bits = rng.getrandbits(g.m) if g.m else 0
+            elif kind == 1:
+                side = [rng.random() < 0.5 for _ in range(n)]
+                bits = sum(1 << e for e, (u, v) in enumerate(g.edges) if side[u] != side[v])
+                bipartite += 1
+            else:
+                bits = (1 << g.m) - 1
+            adj = edge_subgraph_adj(g, bits)
+            for src in {0, n // 2, n - 1}:
+                assert _parity_dist(adj, n, src) == deque_parity_dist(adj, n, src)
+        assert bipartite >= 40
 
 
 class TestParitySwitcherBuild:

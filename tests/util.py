@@ -12,7 +12,8 @@ import random
 from collections import deque
 
 from cyclespan.gf2 import EdgeVector
-from cyclespan.graph import Graph, from_edge_list
+from cyclespan.graph import Graph, VertexSet, bfs_path, from_edge_list, restrict
+from cyclespan.hamfinder import StepCounter, rotation_extension_path
 
 
 def permutation_hamilton_cycles(g: Graph) -> set[tuple[int, ...]]:
@@ -351,3 +352,90 @@ def graph_from_mask(n: int, mask: int) -> Graph:
                 pairs.append((i, j))
             idx += 1
     return from_edge_list(n, pairs)
+
+
+# ---------------------------------------------------------------------------
+# Copy-based references for the searches that run inside a vertex mask
+# ---------------------------------------------------------------------------
+
+def restrict_closing_path(g: Graph, within: VertexSet, x: int, y: int, budget: int,
+                          seed: int) -> tuple[list[int] | None, int]:
+    """Rotation-extension on the copy restrict(g, within), mapped back; with its steps."""
+    res = restrict(g, within)
+    new = {old: i for i, old in enumerate(res.old_vertex)}
+    counter = StepCounter()
+    path = rotation_extension_path(res.graph, new[x], new[y], budget=budget, seed=seed,
+                                   counter=counter)
+    return (None if path is None else res.to_old_path(path)), counter.steps
+
+
+def restrict_pair_paths(g: Graph, pairs: list[tuple[int, int]], seed: int,
+                        within: VertexSet, drop: list[tuple[int, int]],
+                        retries: int = 200) -> list[list[int]] | None:
+    """Sequential shuffled BFS routing on the copy restrict(g, within, drop), mapped back.
+
+    Each BFS expands a shuffle of the copy's neighbour tuple, and a failed
+    shuffle order restarts, up to `retries` orders.
+    """
+    res = restrict(g, within, [g.edge_id(u, v) for u, v in drop if g.has_edge(u, v)])
+    new = {old: i for i, old in enumerate(res.old_vertex)}
+    sub_pairs = [(new[a], new[b]) for a, b in pairs]
+    end_mask = 0
+    for a, b in sub_pairs:
+        end_mask |= 1 << a | 1 << b
+    rng = random.Random(seed)
+    for _ in range(retries):
+        order = list(range(len(pairs)))
+        rng.shuffle(order)
+        used = 0
+        routed = {}
+        for i in order:
+            a, b = sub_pairs[i]
+            blocked = (used | end_mask) & ~(1 << a) & ~(1 << b)
+            path = bfs_path(res.graph, a, b, VertexSet(res.graph.n, blocked), rng)
+            if path is None:
+                break
+            for v in path:
+                used |= 1 << v
+            routed[i] = path
+        else:
+            return [res.to_old_path(routed[i]) for i in range(len(pairs))]
+    return None
+
+
+def loop_lll_split(g: Graph, req, retries: int, seed: int):
+    """Rejection sampling that tests both fractional floors at every vertex on each draw."""
+    y_mask, size_y = req.y_vertices.mask, len(req.y_vertices)
+    a, b = req.a, req.b
+    for v in range(g.n):
+        d = (g.adj_bits(v) & y_mask).bit_count()
+        if -(-a * d // (3 * size_y)) - (-b * d // (3 * size_y)) > d:
+            return None
+    members = req.y_vertices.to_list()
+    rng = random.Random(seed)
+    for _ in range(max(1, retries)):
+        a_mask = 0
+        for v in rng.sample(members, a):
+            a_mask |= 1 << v
+        b_mask = y_mask & ~a_mask
+        if all(3 * size_y * (g.adj_bits(v) & a_mask).bit_count()
+               >= a * (g.adj_bits(v) & y_mask).bit_count()
+               and 3 * size_y * (g.adj_bits(v) & b_mask).bit_count()
+               >= b * (g.adj_bits(v) & y_mask).bit_count() for v in range(g.n)):
+            return a_mask, b_mask
+    return None
+
+
+def deque_parity_dist(adj: list[int], n: int, src: int) -> list[list[int]]:
+    """Shortest walk lengths to src by parity, by a queue BFS over (vertex, parity) states."""
+    inf = n * n + 7
+    dist = [[inf, inf] for _ in range(n)]
+    dist[src][0] = 0
+    queue = deque([(src, 0)])
+    while queue:
+        v, par = queue.popleft()
+        for w in range(n):
+            if adj[v] >> w & 1 and dist[w][par ^ 1] > dist[v][par] + 1:
+                dist[w][par ^ 1] = dist[v][par] + 1
+                queue.append((w, par ^ 1))
+    return dist
