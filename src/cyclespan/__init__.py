@@ -7,12 +7,12 @@ Library layout, each module importing only from those above it:
   forest behind cut and bipartiteness tests, graph6 and edge-list I/O
 - gf2: edge vectors, incremental elimination, cycle and cut spaces
 - hamfinder: rotation-extension search, vertex-disjoint pair paths,
-  splits, sheltered Hamilton paths
+  degree-balanced splits into halves, sheltered Hamilton paths
 - spanning: Hamilton cycle enumeration, spanning verdicts, witnesses
 - switcher: parity switcher gadgets and their two-parity traversals
 - refute: synthetic witnesses, switcher construction, the refutation pipeline
 - experiments: G(n, p) sampling, property report, campaigns
-- cli: the command line
+- cli: the command line (exit 64 on bad input or usage)
 """
 
 from .gf2 import EdgeVector, Gf2Basis, cut_space_stars, cycle_space_basis, \
@@ -32,8 +32,8 @@ from .spanning import (
     normalize_witness,
 )
 from .switcher import ParitySwitcher, find_switcher_cycle, hamilton_paths_of_switcher
-from .hamfinder import SplitRequest, disjoint_pair_paths, hamilton_path_protected, \
-    lll_split, rotation_extension_path
+from .hamfinder import disjoint_pair_paths, hamilton_path_protected, lll_split, \
+    rotation_extension_path
 from .refute import RefutationResult, build_switcher, refutation_pipeline, \
     synthetic_witness
 from .experiments import (

@@ -3,7 +3,9 @@
 Subcommands: gen, span, witness, switcher, refute, props, experiment.
 The span subcommand's exit code is the verdict: 0 spanned, 1 not
 spanned, 2 inconclusive.  The witness subcommand exits 0 with a
-witness, 1 when spanning holds, 2 inconclusive.
+witness, 1 when spanning holds, 2 inconclusive.  Every subcommand exits
+64 (EX_USAGE) with one line on stderr when its arguments, graph or
+witness cannot be read.
 """
 
 from __future__ import annotations
@@ -33,29 +35,42 @@ from .spanning import (
 )
 from .switcher import switcher_certificate
 
+class UsageError(Exception):
+    """Unreadable arguments, graph or witness: `main` exits 64 (EX_USAGE)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
+
 
 def _load_graph(args) -> Graph:
-    if getattr(args, "graph6", None):
-        return from_graph6(args.graph6)
-    if getattr(args, "infile", None):
-        with open(args.infile) as fh:
-            text = fh.read()
-    else:
-        text = sys.stdin.read()
-    first = next((ln for ln in text.splitlines() if ln.strip()), "")
-    if " " in first.strip():
-        return from_edge_list_text(text)
-    return from_graph6(first)
+    try:
+        if getattr(args, "graph6", None):
+            return from_graph6(args.graph6)
+        if getattr(args, "infile", None):
+            with open(args.infile) as fh:
+                text = fh.read()
+        else:
+            text = sys.stdin.read()
+        first = next((ln for ln in text.splitlines() if ln.strip()), "")
+        if " " in first.strip():
+            return from_edge_list_text(text)
+        return from_graph6(first)
+    except (OSError, ValueError) as exc:
+        raise UsageError(f"cannot read graph: {exc}") from None
 
 
 def _load_witness(args, g: Graph) -> WitnessR:
     if getattr(args, "r_hex", None):
-        vec = EdgeVector.from_hex(args.r_hex, g.m)
-        wit = WitnessR.unverified(vec)
-        return normalize_witness(g, wit, mode="hillclimb")
+        try:
+            vec = EdgeVector.from_hex(args.r_hex, g.m)
+        except ValueError as exc:
+            raise UsageError(f"cannot read --r-hex: {exc}") from None
+        return normalize_witness(g, WitnessR.unverified(vec), mode="hillclimb")
     wit = synthetic_witness(g, args.seed)
     if wit is None:
-        raise SystemExit("could not generate a usable synthetic witness")
+        raise UsageError("could not generate a usable synthetic witness")
     return wit
 
 
@@ -152,7 +167,7 @@ def _cmd_props(args) -> int:
 
 def _cmd_experiment(args) -> int:
     if not args.n:
-        raise SystemExit("experiment needs at least one --n")
+        raise UsageError("experiment needs at least one --n")
     cells = tuple(CellSpec(n=n, f=args.f, p=args.p, trials=args.trials)
                   for n in args.n)
     config = ExperimentConfig(
@@ -172,7 +187,7 @@ def _add_graph_input(sp) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="cyclespan")
+    ap = _Parser(prog="cyclespan")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("gen", help="sample G(n, p) at the threshold, emit graph6")
@@ -247,8 +262,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except UsageError as exc:
+        print(f"cyclespan: error: {exc}", file=sys.stderr)
+        return 64
 
 
 if __name__ == "__main__":

@@ -474,7 +474,7 @@ def _run_trial(task: tuple[ExperimentConfig, int, int, float]) -> TrialRecord:
     g = sample_gnp(params)
     ms_sample = (time.perf_counter() - t0) * 1000
 
-    small_count = len(small_vertices(g)) if n >= 2 else 0
+    small_count = len(small_vertices(g))
     dim = cycle_space_dim(g)
 
     t0 = time.perf_counter()

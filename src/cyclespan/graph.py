@@ -218,10 +218,11 @@ def small_vertices(g: Graph) -> VertexSet:
     """Vertices of degree at most ln(n)/10.
 
     The threshold is the real number ln(n)/10; for n below e^10 it is
-    smaller than 1, so only vertices of degree 0 qualify there.
+    smaller than 1, so only vertices of degree 0 qualify there.  Below
+    n = 2 the set is empty.
     """
     if g.n < 2:
-        raise ValueError("small_vertices needs n >= 2")
+        return VertexSet(g.n)
     thr = math.log(g.n) / 10.0
     mask = 0
     for v in range(g.n):
@@ -440,31 +441,13 @@ def from_graph6(text: str) -> Graph:
     want = n * (n - 1) // 2
     if len(rest) != (want + 5) // 6:
         raise Graph6Error("graph6 length mismatch")
-    pairs = []
-    idx = 0
-    for c in rest:
-        group = ord(c) - 63
-        for k in range(5, -1, -1):
-            if idx >= want:
-                if group >> k & 1:
-                    raise Graph6Error("nonzero padding bits")
-                continue
-            if group >> k & 1:
-                # idx-th upper-triangle position in column order
-                pairs.append(_triangle_pair(idx))
-            idx += 1
+    bits = (ord(c) - 63 >> k & 1 for c in rest for k in range(5, -1, -1))
+    # The upper triangle in column order, as to_graph6 writes it.
+    cells = ((i, j) for j in range(1, n) for i in range(j))
+    pairs = [ij for ij, bit in zip(cells, bits) if bit]
+    if any(bits):  # zip stops at the last cell, so these are the padding bits
+        raise Graph6Error("nonzero padding bits")
     return Graph(n, pairs)
-
-
-def _triangle_pair(idx: int) -> tuple[int, int]:
-    # Column j holds positions j*(j-1)/2 .. j*(j+1)/2 - 1.
-    j = int((1 + math.isqrt(1 + 8 * idx)) // 2)
-    while j * (j - 1) // 2 > idx:
-        j -= 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    i = idx - j * (j - 1) // 2
-    return (i, j)
 
 
 # ---------------------------------------------------------------------------

@@ -308,86 +308,68 @@ def _verify_disjoint(adj: list[int], pairs, paths) -> None:
         seen |= set(p)
 
 
-@dataclass(frozen=True)
-class SplitRequest:
-    """Request to split Y into parts of sizes a and b with degree floors.
-
-    The floors are the fractional ones deg(v, A) >= (a/3|Y|) deg(v, Y)
-    and symmetrically for B, demanded for every vertex of the graph.
-    """
-
-    y_vertices: VertexSet
-    a: int
-    b: int
-
-    def __post_init__(self):
-        if self.a < 1 or self.b < 1:
-            raise ValueError("part sizes must be positive")
-        if self.a + self.b != len(self.y_vertices):
-            raise ValueError("part sizes must add up to |Y|")
-
-    @classmethod
-    def halves(cls, y: VertexSet) -> "SplitRequest":
-        size = len(y)
-        return cls(y, size // 2, size - size // 2)
-
-
-def _split_windows(g: Graph, req: SplitRequest) -> list[tuple[int, int, int]]:
+def _split_windows(g: Graph, y: VertexSet) -> list[tuple[int, int, int]]:
     """(N(v) & Y, lo, hi) for each v with d = deg(v, Y) >= 1, narrowest first.
 
     Both floors of `lll_split` hold at v exactly when lo <= deg(v, A) <= hi,
-    with lo = ceil(a d / 3|Y|) and hi = d - ceil(b d / 3|Y|).
+    with a = |Y| // 2, b = |Y| - a, lo = ceil(a d / 3|Y|) and
+    hi = d - ceil(b d / 3|Y|).  Raises ValueError when |Y| < 2 or Y is
+    over another universe.
     """
-    y_mask, size_y = req.y_vertices.mask, len(req.y_vertices)
+    size_y = len(_within(g, y))
+    if size_y < 2:
+        raise ValueError("a split needs |Y| >= 2")
+    a = size_y // 2
+    b = size_y - a
     windows = []
     for adj in g._adj_bits:
-        ny = adj & y_mask
+        ny = adj & y.mask
         if ny:
             d = ny.bit_count()
-            windows.append((ny, -(-req.a * d // (3 * size_y)),
-                            d + (-req.b * d // (3 * size_y))))
+            windows.append((ny, -(-a * d // (3 * size_y)), d + (-b * d // (3 * size_y))))
     windows.sort(key=lambda w: w[2] - w[1])
     return windows
 
 
-def split_feasible(g: Graph, req: SplitRequest) -> bool:
+def split_feasible(g: Graph, y: VertexSet) -> bool:
     """Whether whole degrees can meet both floors of `lll_split` at every vertex.
 
     That is, whether every window of `_split_windows` is non-empty.
     """
-    return all(lo <= hi for _, lo, hi in _split_windows(g, req))
+    return all(lo <= hi for _, lo, hi in _split_windows(g, y))
 
 
 def lll_split(
     g: Graph,
-    req: SplitRequest,
+    y: VertexSet,
     retries: int = 10_000,
     seed: int = 0,
 ) -> tuple[VertexSet, VertexSet] | None:
-    """Random a/b-split of Y with per-vertex degree floors on both sides.
+    """Random split of Y into halves A, B with per-vertex degree floors.
 
-    Uniform a-subsets are resampled until every vertex v satisfies
-    3|Y| deg(v, A) >= a deg(v, Y) and 3|Y| deg(v, B) >= b deg(v, Y)
-    (checked in exact integer arithmetic), or retries run out, in which
-    case None is returned.  The floors are not always satisfiable: A and
-    B split deg(v, Y) = d into whole degrees, so v needs
-    ceil(a d / 3|Y|) + ceil(b d / 3|Y|) <= d, which fails exactly when
-    d = 1.  Such a request (see `split_feasible`) returns None before any
-    draw.  The floors become one window for deg(v, A) per vertex, computed
-    once, and each draw tests the narrowest windows first.
+    With a = |A| = |Y| // 2 and b = |B|, uniform a-subsets are resampled
+    until every vertex v satisfies 3|Y| deg(v, A) >= a deg(v, Y) and
+    3|Y| deg(v, B) >= b deg(v, Y) (checked in exact integer arithmetic),
+    or retries run out, in which case None is returned.  The floors are
+    not always satisfiable: A and B split deg(v, Y) = d into whole
+    degrees, so v needs ceil(a d / 3|Y|) + ceil(b d / 3|Y|) <= d, which
+    fails exactly when d = 1.  Such a Y (see `split_feasible`) returns
+    None before any draw.  The floors become one window for deg(v, A) per
+    vertex, computed once, and each draw tests the narrowest windows first.
     """
-    windows = _split_windows(g, req)
+    windows = _split_windows(g, y)
     if not all(lo <= hi for _, lo, hi in windows):
         return None
-    members = req.y_vertices.to_list()
+    members = y.to_list()
+    a = len(members) // 2
     rng = random.Random(seed)
     for _ in range(max(1, retries)):
-        a_mask = mask_of(rng.sample(members, req.a))
+        a_mask = mask_of(rng.sample(members, a))
         for ny, lo, hi in windows:
             if not lo <= (ny & a_mask).bit_count() <= hi:
                 break
         else:
-            return VertexSet(g.n, a_mask), VertexSet(g.n, req.y_vertices.mask & ~a_mask)
+            return VertexSet(g.n, a_mask), VertexSet(g.n, y.mask & ~a_mask)
     return None
 
 
@@ -459,8 +441,7 @@ def hamilton_path_protected(
     y_rest = VertexSet(g.n, s_mask & ~u_mask)
     if len(y_rest) < 2:
         return ProtectedPathResult(None, "split")
-    halves = lll_split(g, SplitRequest.halves(y_rest),
-                       retries=_SPLIT_RETRIES, seed=derive_seed(seed, "split"))
+    halves = lll_split(g, y_rest, retries=_SPLIT_RETRIES, seed=derive_seed(seed, "split"))
     if halves is None:
         return ProtectedPathResult(None, "split")
     s1, s2 = halves

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 from .gf2 import EdgeVector, intersection_parity
 from .graph import Graph, VertexSet, mask_of, small_vertices
-from .hamfinder import SplitRequest, disjoint_pair_paths, hamilton_path_protected, \
-    lll_split, split_feasible
+from .hamfinder import disjoint_pair_paths, hamilton_path_protected, lll_split, \
+    split_feasible
 from .seeds import derive_seed
 from .spanning import HamiltonCycle, WitnessR, _odd_hamilton_cycle, \
     is_bipartition_form, normalize_witness
@@ -27,6 +27,8 @@ from .switcher import ParitySwitcher, find_switcher_cycle, hamilton_paths_of_swi
 
 # Random edge subsets synthetic_witness draws before it gives up.
 _SYNTHETIC_WITNESS_TRIES = 64
+# Attempts refutation_pipeline makes, each with a fresh sub-seed.
+_REFUTE_RETRIES = 5
 
 
 def synthetic_witness(g: Graph, seed: int) -> WitnessR | None:
@@ -113,11 +115,9 @@ def build_switcher(
     y_set = VertexSet(n, y_mask)
     if len(y_set) < 2:
         return _failed("S2b", "too few vertices to split", False)
-    request = SplitRequest.halves(y_set)
-    halves = lll_split(g, request, seed=derive_seed(seed, "split"))
+    halves = lll_split(g, y_set, seed=derive_seed(seed, "split"))
     if halves is None:
-        return _failed("S2b", "degree-preserving split failed",
-                       split_feasible(g, request))
+        return _failed("S2b", "degree-preserving split failed", split_feasible(g, y_set))
 
     # Route the connector interiors inside the B half, away from the low-
     # degree vertices and their neighbours, the cycle edges, the escort
@@ -156,7 +156,6 @@ def refutation_pipeline(
     g: Graph,
     r: WitnessR,
     seed: int,
-    retries: int = 5,
     small: VertexSet | None = None,
     enumeration_fallback: bool = True,
 ) -> RefutationResult:
@@ -168,22 +167,19 @@ def refutation_pipeline(
     assembly picks the switcher traversal whose parity complements the
     outer path and concatenates the two.  Every success is re-verified:
     the output is a Hamilton cycle of g whose overlap with r.vector is
-    odd.  Failures are retried with fresh sub-seeds, up to `retries`
-    attempts, unless build_switcher reports that the failure does not
-    depend on the seed (see there); then the loop ends after that
-    attempt, and `attempts` counts the attempts made.  For n <= 16,
-    `enumeration_fallback` then asks the exact decider's parity subset DP,
-    which returns a Hamilton cycle meeting r oddly or proves that none
-    exists.
+    odd.  Failures are retried with fresh sub-seeds, up to
+    `_REFUTE_RETRIES` attempts, unless build_switcher reports that the
+    failure does not depend on the seed (see there); then the loop ends
+    after that attempt, and `attempts` counts the attempts made.  For
+    n <= 16, `enumeration_fallback` then asks the exact decider's parity
+    subset DP, which returns a Hamilton cycle meeting r oddly or proves
+    that none exists.  That includes R = E(G), which leaves no switcher
+    edge but meets every Hamilton cycle oddly at odd n.
     """
-    small_set = small if small is not None else (small_vertices(g) if g.n >= 2 else VertexSet(g.n))
+    small_set = small if small is not None else small_vertices(g)
     last_stage, last_detail = "S2a", "not attempted"
-    if r.vector.bits == (1 << g.m) - 1 and g.m > 0:
-        # Structural validation failure: every edge is a witness edge, so
-        # no switcher seed exists and no fallback applies.
-        return RefutationResult(None, failed_stage="S2a", detail="no non-R edge")
     attempts = 0
-    for attempt in range(retries):
+    for attempt in range(_REFUTE_RETRIES):
         attempts = attempt + 1
         sub_seed = derive_seed(seed, "refute", attempt)
         sw, meta = build_switcher(g, r, sub_seed, small=small_set)

@@ -128,7 +128,7 @@ def find_switcher_cycle(
     if r.m != g.m:
         raise ValueError("vector over wrong universe")
     n = g.n
-    small_set = small if small is not None else small_vertices(g) if n >= 2 else VertexSet(n)
+    small_set = small if small is not None else small_vertices(g)
     cap = switcher_cycle_cap(n)
     max_cycle = n if cap is None else min(n, math.floor(cap))
     if max_cycle < 4:

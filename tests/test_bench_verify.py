@@ -4,10 +4,14 @@
 shares nothing with the package, and the benchmark exits 3 on the first
 violation.  These tests load it by path and put the same checks on the
 exact and sampled deciders and on the refutation, so an output the
-benchmark would refuse fails here first.
+benchmark would refuse fails here first.  The digests of the first ops
+of each workload are pinned too, so a change that alters any op's outcome
+fails here before a paired benchmark run.
 """
 
+import hashlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,13 @@ VERIFY = Path(__file__).resolve().parents[1] / "perfbench" / "verify.py"
 EXACT_ALLOWED = frozenset({"SpannedExact", "NotSpanned", "TriviallySpanned", "Inconclusive"})
 SPAN_ALLOWED = frozenset({"SpannedConfirmed", "TriviallySpanned", "Inconclusive"})
 EXACT_BUDGET = 50_000
+# sha256 prefixes of the lines f"{i}:{digest}" of each workload's first
+# ops at seed 1, digest being what its check returns.
+BENCH_DIGESTS = {
+    "span_threshold": (4, "d0da6adb5edf5938"),
+    "refute_threshold": (256, "d39613215ef66223"),
+    "exact_threshold": (64, "06c59501297e51aa"),
+}
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +40,32 @@ def verify():
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", VERIFY.with_name("workloads.py"))
+    mod = importlib.util.module_from_spec(spec)
+    sys.path.insert(0, str(VERIFY.parent))  # for its `import verify`
+    sys.modules[spec.name] = mod  # dataclasses looks the module up by name
+    try:
+        spec.loader.exec_module(mod)
+    finally:
+        sys.path.remove(str(VERIFY.parent))
+        del sys.modules[spec.name]
+    return mod
+
+
+@pytest.mark.parametrize("name", sorted(BENCH_DIGESTS))
+def test_bench_op_digests(workloads, name):
+    ops, want = BENCH_DIGESTS[name]
+    wl = workloads.WORKLOADS[name]
+    st = wl.setup(1)
+    h = hashlib.sha256()
+    for i in range(ops):
+        h.update(f"{i}:{wl.check(st, i, wl.op(st, i)).digest}\n".encode())
+    assert h.hexdigest()[:16] == want
 
 
 @pytest.mark.parametrize("n", range(9, 17))

@@ -95,6 +95,37 @@ def test_refute_command(capsys):
     assert len(doc["hamilton_cycle"]) == 5
 
 
+@pytest.mark.parametrize("argv", [
+    ["span", "--graph6", "!!"],
+    ["witness", "--graph6", "~~~"],
+    ["span", "--mode", "bogus"],
+    ["span", "--graph6", "Bw", "--budget", "many"],
+    ["refute", "--graph6", "Bw", "--r-hex", "ffff"],
+    ["refute", "--graph6", "Bw"],
+    ["switcher", "--graph6", "Bg"],
+    ["experiment", "--trials", "1"],
+    ["bogus"],
+])
+def test_usage_errors_exit_64(argv, capsys):
+    assert main(argv) == 64
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("cyclespan: error: ") and err.count("\n") == 1
+
+
+def test_missing_input_file_exits_64(tmp_path, capsys):
+    assert main(["span", "--in", str(tmp_path / "missing.g6")]) == 64
+    assert "missing.g6" in capsys.readouterr().err
+
+
+def test_internal_error_still_raises(monkeypatch):
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+    monkeypatch.setattr(cli, "decide_spanning_exact", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["span", "--graph6", "Bw"])
+
+
 def test_props_command(capsys):
     k7 = to_graph6(Graph.complete(7))
     main(["props", "--graph6", k7, "--samples", "50"])

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cyclespan import experiments
+from cyclespan import experiments, refute
 from cyclespan.experiments import (
     CellSpec,
     ExperimentConfig,
@@ -196,10 +196,30 @@ class TestRefutationPipeline:
     def test_full_r_fails_fast(self):
         g = Graph.complete(5)
         wit = WitnessR.unverified(EdgeVector.full(g.m))
-        res = refutation_pipeline(g, wit, seed=0)
+        res = refutation_pipeline(g, wit, seed=0, enumeration_fallback=False)
         assert not res.ok
         assert res.failed_stage == "S2a"
         assert "non-R" in res.detail
+        assert res.attempts == 1
+        assert refutation_pipeline(g, wit, seed=0).ok
+
+    @pytest.mark.parametrize("fallback", [True, False])
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 9, 17])
+    def test_all_edges_witness(self, n, fallback):
+        # R = E(G) leaves no switcher edge.  A Hamilton cycle has n edges,
+        # so at odd n every one meets R oddly; the parity DP answers n <= 16.
+        g = Graph.complete(n)
+        wit = WitnessR.unverified(EdgeVector.full(g.m))
+        res = refutation_pipeline(g, wit, seed=0, enumeration_fallback=fallback)
+        assert res.attempts == 1
+        if fallback and n <= 16 and n % 2:
+            assert res.ok and res.via == "parity_dp"
+            assert intersection_parity(res.cycle.vector, wit.vector) == 1
+        elif fallback and n <= 16:
+            assert (res.failed_stage, res.detail) == \
+                ("S3", "no odd-overlap Hamilton cycle exists")
+        else:
+            assert (res.failed_stage, res.detail) == ("S2a", "no non-R edge")
 
     def test_petersen_fails(self):
         g = petersen()
@@ -210,29 +230,32 @@ class TestRefutationPipeline:
         assert not res.ok
         assert res.failed_stage == "S3" and res.detail == "no Hamilton cycle exists"
 
-    def test_cut_witness_has_no_odd_cycle(self):
+    def test_cut_witness_has_no_odd_cycle(self, monkeypatch):
         # r = E(A, B): every Hamilton cycle crosses a cut evenly, so the
         # parity DP fallback proves that no cycle meets r oddly.
         g = Graph.complete(7)
         cut = EdgeVector.from_pairs(
             g, [(u, v) for u in range(3) for v in range(3, 7)])
-        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0, retries=1)
+        monkeypatch.setattr(refute, "_REFUTE_RETRIES", 1)
+        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0)
         assert not res.ok
         assert res.detail == "no odd-overlap Hamilton cycle exists"
 
     @pytest.mark.parametrize("n", [12, 16])
-    def test_fallback_proves_half_cut_unrefutable(self, n):
+    def test_fallback_proves_half_cut_unrefutable(self, n, monkeypatch):
         # Far more Hamilton cycles than an enumeration could scan.
         g = Graph.complete(n)
         half = n // 2
         cut = EdgeVector.from_pairs(
             g, [(u, v) for u in range(half) for v in range(half, n)])
-        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0, retries=0)
+        monkeypatch.setattr(refute, "_REFUTE_RETRIES", 0)
+        res = refutation_pipeline(g, WitnessR.unverified(cut), seed=0)
         assert not res.ok
         assert res.failed_stage == "S3"
         assert res.detail == "no odd-overlap Hamilton cycle exists"
 
-    def test_fallback_agrees_with_enumeration(self):
+    def test_fallback_agrees_with_enumeration(self, monkeypatch):
+        monkeypatch.setattr(refute, "_REFUTE_RETRIES", 0)
         rng = random.Random(17)
         found = 0
         for _ in range(40):
@@ -243,7 +266,7 @@ class TestRefutationPipeline:
                 continue
             cycles = list(enumerate_hamilton_cycles(g))
             odd = any(intersection_parity(hc.vector, r) for hc in cycles)
-            res = refutation_pipeline(g, WitnessR.unverified(r), seed=0, retries=0)
+            res = refutation_pipeline(g, WitnessR.unverified(r), seed=0)
             assert res.ok == odd
             if res.ok:
                 found += 1

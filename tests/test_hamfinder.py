@@ -8,7 +8,6 @@ from cyclespan import hamfinder
 from cyclespan.experiments import ModelParams, sample_gnp
 from cyclespan.graph import Graph, VertexSet, from_edge_list
 from cyclespan.hamfinder import (
-    SplitRequest,
     StepCounter,
     hamilton_path_protected,
     lll_split,
@@ -205,7 +204,7 @@ def _floors_hold(g, y_mask: int, a_mask: int, a: int) -> bool:
 class TestLllSplit:
     def test_k6_balanced(self):
         g = Graph.complete(6)
-        out = lll_split(g, SplitRequest(VertexSet.full(6), 3, 3), seed=1)
+        out = lll_split(g, VertexSet.full(6), seed=1)
         assert out is not None
         a, b = out
         assert len(a) == 3 and len(b) == 3
@@ -215,7 +214,7 @@ class TestLllSplit:
         # Y with no internal or incident edges puts every floor at zero.
         g = from_edge_list(6, [(0, 1)])
         y = VertexSet.of(6, [2, 3, 4, 5])
-        out = lll_split(g, SplitRequest(y, 2, 2), seed=0)
+        out = lll_split(g, y, seed=0)
         assert out is not None
 
     def test_single_y_neighbor_is_infeasible(self):
@@ -223,7 +222,7 @@ class TestLllSplit:
         # positive floors.
         g = from_edge_list(4, [(0, 1), (2, 3)])
         y = VertexSet.of(4, [1, 2, 3])
-        out = lll_split(g, SplitRequest(y, 1, 2), retries=50, seed=0)
+        out = lll_split(g, y, retries=50, seed=0)
         assert out is None
 
     def test_star_center_needs_two_leaves_per_side(self):
@@ -232,7 +231,7 @@ class TestLllSplit:
         # every balanced split of the leaves provides.
         g = from_edge_list(11, [(0, i) for i in range(1, 11)])
         y = VertexSet.of(11, range(1, 11))
-        out = lll_split(g, SplitRequest(y, 5, 5), seed=3)
+        out = lll_split(g, y, seed=3)
         assert out is not None
         a, b = out
         assert (g.adj_bits(0) & a.mask).bit_count() >= 2
@@ -248,7 +247,7 @@ class TestLllSplit:
                 continue
             y = VertexSet.of(n, members)
             a = len(members) // 2
-            out = lll_split(g, SplitRequest(y, a, len(members) - a), seed=rng.randrange(99))
+            out = lll_split(g, y, seed=rng.randrange(99))
             if out is None:
                 continue
             sa, sb = out
@@ -262,10 +261,10 @@ class TestLllSplit:
         calls = _count_samples(monkeypatch)
         g = from_edge_list(4, [(0, 1), (2, 3)])
         y = VertexSet.of(4, [1, 2, 3])
-        assert lll_split(g, SplitRequest(y, 1, 2), retries=50, seed=0) is None
+        assert lll_split(g, y, retries=50, seed=0) is None
         assert calls == []
         k6 = Graph.complete(6)
-        assert lll_split(k6, SplitRequest(VertexSet.full(6), 3, 3), seed=1) is not None
+        assert lll_split(k6, VertexSet.full(6), seed=1) is not None
         assert calls
 
     def test_up_front_none_only_when_no_split_exists(self, monkeypatch):
@@ -279,9 +278,9 @@ class TestLllSplit:
             if len(members) < 2:
                 continue
             y = VertexSet.of(n, members)
-            a = rng.randint(1, len(members) - 1)
+            a = len(members) // 2
             calls.clear()
-            out = lll_split(g, SplitRequest(y, a, len(members) - a), retries=3, seed=0)
+            out = lll_split(g, y, retries=3, seed=0)
             if calls:
                 continue
             fired += 1
@@ -302,22 +301,23 @@ class TestLllSplit:
             members = [v for v in range(n) if rng.random() < 0.6]
             if len(members) < 2:
                 continue
-            a = rng.randint(1, len(members) - 1)
-            req = SplitRequest(VertexSet.of(n, members), a, len(members) - a)
-            got = lll_split(g, req, retries=5, seed=t)
-            want = loop_lll_split(g, req, retries=5, seed=t)
+            y = VertexSet.of(n, members)
+            got = lll_split(g, y, retries=5, seed=t)
+            want = loop_lll_split(g, y, retries=5, seed=t)
             assert (got and (got[0].mask, got[1].mask)) == want
-            if not hamfinder.split_feasible(g, req):
+            if not hamfinder.split_feasible(g, y):
                 kinds["infeasible"] += 1
             else:
                 kinds["ran out" if got is None else "split"] += 1
         assert min(kinds.values()) >= 10, kinds
 
     def test_size_validation(self):
-        with pytest.raises(ValueError):
-            SplitRequest(VertexSet.full(4), 1, 2)
-        with pytest.raises(ValueError):
-            SplitRequest(VertexSet.full(4), 0, 4)
+        g = Graph.complete(4)
+        for y in (VertexSet(4), VertexSet.of(4, [2]), VertexSet.full(5)):
+            with pytest.raises(ValueError):
+                lll_split(g, y, seed=0)
+            with pytest.raises(ValueError):
+                hamfinder.split_feasible(g, y)
 
 
 class TestHamiltonPathProtected:

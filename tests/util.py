@@ -403,15 +403,16 @@ def restrict_pair_paths(g: Graph, pairs: list[tuple[int, int]], seed: int,
     return None
 
 
-def loop_lll_split(g: Graph, req, retries: int, seed: int):
-    """Rejection sampling that tests both fractional floors at every vertex on each draw."""
-    y_mask, size_y = req.y_vertices.mask, len(req.y_vertices)
-    a, b = req.a, req.b
+def loop_lll_split(g: Graph, y, retries: int, seed: int):
+    """Rejection sampling of halves of Y, testing both floors at every vertex on each draw."""
+    y_mask, size_y = y.mask, len(y)
+    a = size_y // 2
+    b = size_y - a
     for v in range(g.n):
         d = (g.adj_bits(v) & y_mask).bit_count()
         if -(-a * d // (3 * size_y)) - (-b * d // (3 * size_y)) > d:
             return None
-    members = req.y_vertices.to_list()
+    members = y.to_list()
     rng = random.Random(seed)
     for _ in range(max(1, retries)):
         a_mask = 0
